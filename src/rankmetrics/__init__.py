@@ -25,6 +25,7 @@ from .rankcore import (
     ORDINAL,
     InsufficientPapersError,
     RankPair,
+    RankQuery,
     TopKRanks,
     WorldIndex,
     build_world,
@@ -60,6 +61,7 @@ __all__ = [
     "ORDINAL",
     "InsufficientPapersError",
     "RankPair",
+    "RankQuery",
     "TopKRanks",
     "WorldIndex",
     "build_world",

@@ -13,6 +13,7 @@ import argparse
 import hashlib
 import io
 import json
+import math
 import os
 import sys
 
@@ -31,6 +32,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        check_indicator_flags(args)
         return args.handler(args)
     except DataError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -135,6 +137,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_assess)
 
     return parser
+
+
+def check_indicator_flags(args) -> None:
+    """Refuse index parameters that have no meaning: the index needs at
+    least one paper, and a finite offset >= 0 and scale > 0."""
+    if not hasattr(args, "k"):
+        return
+    if args.k < 1:
+        raise DataError(f"--k must be >= 1, got {args.k}")
+    if not (math.isfinite(args.offset) and args.offset >= 0):
+        raise DataError(f"--offset must be a finite number >= 0, got {args.offset}")
+    if not (math.isfinite(args.scale) and args.scale > 0):
+        raise DataError(f"--scale must be a finite number > 0, got {args.scale}")
 
 
 def load_run_config(args) -> synthdist.EnsembleConfig:
@@ -289,7 +304,7 @@ def ptop_corpus(args, xs) -> int:
 def ptop_synthetic(args, xs) -> int:
     config = load_run_config(args)
     ensemble = synthdist.generate_ensemble(config, jobs=args.jobs)
-    world = rankcore.build_world(list(ensemble.series), tie_policy=args.tie_policy)
+    world = rankcore.RankQuery(list(ensemble.series), tie_policy=args.tie_policy)
     if args.labels:
         labels = args.labels.split(",")
     else:

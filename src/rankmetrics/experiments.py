@@ -12,14 +12,14 @@ import hashlib
 import json
 import os
 import tempfile
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import __version__
-from .indicators import analytic_ptop
-from .rankcore import ORDINAL, InsufficientPapersError, WorldIndex, build_world
+from .indicators import analytic_ptop, rk_from_rank1s
+from .rankcore import ORDINAL, RankQuery, WorldIndex
+from .rankcore import build_world  # noqa: F401  -- perfbench/spans.py wraps this name
 from .synthdist import Ensemble, EnsembleConfig, generate_ensemble
 
 FIG2_PERCENTILES = (10.0, 3.0, 1.0, 0.5, 0.1)
@@ -63,7 +63,6 @@ class ExperimentReport:
     columns: tuple[str, ...]
     rows: list[dict]
     config_hash: str = ""
-    created_at: float = field(default_factory=time.time)
 
     def __post_init__(self):
         if not self.rows:
@@ -117,26 +116,19 @@ def write_report(report: ExperimentReport, out_dir, fmt: str = "csv") -> list[st
     return paths
 
 
-def _world_of(ensemble: Ensemble, tie_policy: str) -> WorldIndex:
-    return build_world(list(ensemble.series), tie_policy=tie_policy)
+def _world_of(ensemble: Ensemble, tie_policy: str) -> RankQuery:
+    return RankQuery(list(ensemble.series), tie_policy=tie_policy)
 
 
-def top_rank1s(world: WorldIndex, label: str, k: int) -> np.ndarray:
+def top_rank1s(world: RankQuery | WorldIndex, label: str, k: int) -> np.ndarray:
     """Global ranks of the unit's k locally best papers, local order."""
-    pos = world.positions(label)
-    if pos.size < k:
-        raise InsufficientPapersError(f"unit {label} has {pos.size} papers, {k} required")
-    return world.rank1[pos][:k]
+    return world.top_rank1s(label, k)
 
 
-def rank_trace(world: WorldIndex, label: str, k: int) -> list[tuple[int, int]]:
+def rank_trace(world: RankQuery | WorldIndex, label: str, k: int) -> list[tuple[int, int]]:
     """(rank2, rank1) pairs for the unit's k locally best papers."""
     ranks = top_rank1s(world, label, k)
     return [(i + 1, int(r)) for i, r in enumerate(ranks)]
-
-
-def _geomean_inv(ranks: np.ndarray, offset: float = 0.0) -> float:
-    return float(np.exp(-np.mean(np.log(offset + ranks.astype(np.float64)))))
 
 
 def _join_ranks(ranks) -> str:
@@ -240,16 +232,14 @@ def run_fig1(
     for label in labels:
         spec = ensemble.spec_by_label[label]
         ranks = top_rank1s(world, label, k)
-        gm_raw = _geomean_inv(ranks)
-        gm_off = _geomean_inv(ranks, offset)
         rows.append(
             {
                 "label": label,
                 "mu": spec.mu,
                 "n": spec.n,
-                "gm_inv_rank1": gm_raw,
-                "gm_inv_offset_rank1": gm_off,
-                "rk": scale * gm_off,
+                "gm_inv_rank1": rk_from_rank1s(ranks, offset=0.0, scale=1.0),
+                "gm_inv_offset_rank1": rk_from_rank1s(ranks, offset=offset, scale=1.0),
+                "rk": rk_from_rank1s(ranks, offset=offset, scale=scale),
                 "ptop_10_analytic": analytic_ptop(spec, world, 10.0).value,
                 "ptop_0.1_analytic": analytic_ptop(spec, world, 0.1).value,
                 "rank1s": _join_ranks(ranks),
@@ -286,7 +276,7 @@ def run_fig2(
             "label": label,
             "mu": spec.mu,
             "n": spec.n,
-            "rk": scale * _geomean_inv(ranks, offset),
+            "rk": rk_from_rank1s(ranks, offset=offset, scale=scale),
             "rank1s": _join_ranks(ranks),
         }
         for x in FIG2_PERCENTILES:
@@ -340,15 +330,15 @@ def run_fig3(
             size_idx = config.sizes.index(n)
             spec = ensemble.specs[mu_idx * len(config.sizes) + size_idx]
             ranks = top_rank1s(world, spec.label, k)
-            rk = scale * _geomean_inv(ranks, offset)
-            for rank2, rank1 in rank_trace(world, spec.label, k):
+            rk = rk_from_rank1s(ranks, offset=offset, scale=scale)
+            for rank2, rank1 in enumerate(ranks, start=1):
                 rows.append(
                     {
                         "label": spec.label,
                         "mu": spec.mu,
                         "n": spec.n,
                         "rank2": rank2,
-                        "rank1": rank1,
+                        "rank1": int(rank1),
                         "rk": rk,
                     }
                 )
@@ -388,7 +378,7 @@ def run_fig4(
     rows = []
     for spec in ensemble.specs:
         ranks = top_rank1s(world, spec.label, k)
-        rk = scale * _geomean_inv(ranks, offset)
+        rk = rk_from_rank1s(ranks, offset=offset, scale=scale)
         p01 = analytic_ptop(spec, world, 0.1).value
         p001 = analytic_ptop(spec, world, 0.01).value
         rows.append(

@@ -166,33 +166,52 @@ def load_corpus(path, meta: CorpusMeta | None = None) -> CorpusLoadResult:
     trailing ``field`` column; countries are semicolon-separated codes.
     Only an unusable header aborts the load.
     """
+    # utf-8-sig drops the byte-order mark spreadsheet exports put first
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as handle:
+            return _read_corpus(csv.reader(handle), path, meta)
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(path, exc) from None
+
+
+def _read_corpus(reader, path, meta: CorpusMeta | None) -> CorpusLoadResult:
     records, errors, seen = [], [], set()
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise CorpusFormatError(f"{path}: empty file") from None
+    header = [h.strip().lower() for h in header]
+    if tuple(header[:4]) != CORPUS_COLUMNS or len(header) > 5 or (
+        len(header) == 5 and header[4] != "field"
+    ):
+        raise CorpusFormatError(
+            f"{path}: header must be id,year,citations,countries[,field], got {header}"
+        )
+    has_field = len(header) == 5
+    for line, row in enumerate(reader, start=2):
+        if not row:
+            continue
         try:
-            header = next(reader)
-        except StopIteration:
-            raise CorpusFormatError(f"{path}: empty file") from None
-        header = [h.strip().lower() for h in header]
-        if tuple(header[:4]) != CORPUS_COLUMNS or len(header) > 5 or (
-            len(header) == 5 and header[4] != "field"
-        ):
-            raise CorpusFormatError(
-                f"{path}: header must be id,year,citations,countries[,field], got {header}"
-            )
-        has_field = len(header) == 5
-        for line, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                record = _parse_row(row, line, has_field, meta)
-                if record.id in seen:
-                    raise ValueError(f"duplicate id {record.id!r}")
-                seen.add(record.id)
-                records.append(record)
-            except ValueError as exc:
-                errors.append(RowError(line=line, message=str(exc)))
+            record = _parse_row(row, line, has_field, meta)
+            if record.id in seen:
+                raise ValueError(f"duplicate id {record.id!r}")
+            seen.add(record.id)
+            records.append(record)
+        except ValueError as exc:
+            errors.append(RowError(line=line, message=str(exc)))
     return CorpusLoadResult(records=records, errors=errors)
+
+
+def _not_utf8(path, exc: UnicodeDecodeError) -> CorpusFormatError:
+    """Name the first line that is not UTF-8; decoding runs ahead of the
+    csv reader in blocks, so the error itself does not locate the line."""
+    with open(path, "rb") as handle:
+        for line, raw in enumerate(handle, start=1):
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError:
+                break
+    return CorpusFormatError(f"{path}: line {line} is not valid UTF-8 ({exc.reason})")
 
 
 def split_country(records: list[PaperRecord], country: str) -> CountrySplit:

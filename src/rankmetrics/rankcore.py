@@ -2,13 +2,17 @@
 
 Every paper gets two ranks: its position in the aggregated, citation-
 descending world list (rank1) and its position within its own unit's
-list (rank2).  The world index is built once and then shared read-only.
+list (rank2).  `build_world` orders every paper into a `WorldIndex`, from
+which the full dual-rank table is read; `RankQuery` answers only the
+top-k rank1 queries the studies need, from one sorted value array.
+Both are built once and then shared read-only.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -97,6 +101,14 @@ class WorldIndex:
         except KeyError:
             raise UnknownLabelError(label) from None
 
+    def top_rank1s(self, label: str, k: int) -> np.ndarray:
+        """Global ranks of the unit's k locally best papers, local order."""
+        _check_k(k)
+        pos = self.positions(label)
+        if pos.size < k:
+            raise InsufficientPapersError(f"unit {label} has {pos.size} papers, {k} required")
+        return self.rank1[pos][:k]
+
     def entries(self):
         """Iterate (value, owner label, member key) in world order."""
         for i in range(self.size):
@@ -117,12 +129,8 @@ def _competition_ranks(sorted_desc: np.ndarray) -> np.ndarray:
     return np.repeat(starts + 1, lengths)
 
 
-def build_world(series: list[CitationSeries], tie_policy: str = ORDINAL) -> WorldIndex:
-    """Aggregate series into one citation-descending world index.
-
-    The ordering is a total order independent of the input series order:
-    value descending, then label, then per-series member key.
-    """
+def _check_world(series: list[CitationSeries], tie_policy: str) -> int:
+    """Reject a world no index can be built from; returns its paper count."""
     if tie_policy not in TIE_POLICIES:
         raise ValueError(f"tie_policy must be one of {TIE_POLICIES}")
     labels = [s.label for s in series]
@@ -134,6 +142,17 @@ def build_world(series: list[CitationSeries], tie_policy: str = ORDINAL) -> Worl
     total = sum(s.n for s in series)
     if total == 0:
         raise ValueError("cannot build a world from all-empty series")
+    return total
+
+
+def build_world(series: list[CitationSeries], tie_policy: str = ORDINAL) -> WorldIndex:
+    """Aggregate series into one citation-descending world index.
+
+    The ordering is a total order independent of the input series order:
+    value descending, then label, then per-series member key.
+    """
+    labels = [s.label for s in series]
+    total = _check_world(series, tie_policy)
 
     order_of_label = {lab: code for code, lab in enumerate(sorted(labels))}
     values = np.concatenate([s.values for s in series if s.n])
@@ -191,6 +210,80 @@ def build_world(series: list[CitationSeries], tie_policy: str = ORDINAL) -> Worl
     )
 
 
+class RankQuery:
+    """Top-k rank queries against a world held as one sorted value array.
+
+    Answers the two questions a study asks of a world: the global ranks
+    of a unit's k locally best papers, and the value at a world rank.
+    Both equal what `build_world` gives under either tie policy, without
+    its full ordering: a query selects the unit's top k, then counts the
+    world entries above each of them in the sorted values.
+    """
+
+    def __init__(self, series: list[CitationSeries], tie_policy: str = ORDINAL):
+        _check_world(series, tie_policy)
+        self.tie_policy = tie_policy
+        self._series = {s.label: s for s in series}
+        ordered = sorted(series, key=lambda s: s.label)
+        self._codes = {s.label: code for code, s in enumerate(ordered)}
+        self._sizes = [s.n for s in ordered]
+        self._values = np.concatenate([s.values for s in ordered])
+        self._asc = np.sort(self._values)
+
+    @property
+    def size(self) -> int:
+        return int(self._asc.size)
+
+    def value_at_rank(self, rank: int) -> float:
+        """Citation value of the entry holding 1-based world position `rank`."""
+        if not 1 <= rank <= self.size:
+            raise ValueError(f"rank {rank} outside 1..{self.size}")
+        return float(self._asc[self.size - rank])
+
+    def top_rank1s(self, label: str, k: int) -> np.ndarray:
+        """Global ranks of the unit's k locally best papers, local order."""
+        _check_k(k)
+        try:
+            unit = self._series[label]
+        except KeyError:
+            raise UnknownLabelError(label) from None
+        if unit.n < k:
+            raise InsufficientPapersError(f"unit {label} has {unit.n} papers, {k} required")
+        # The unit's k largest values, descending.  Keys need not be read:
+        # a unit's equal values hold consecutive world ranks, whichever
+        # member comes first.
+        values = np.sort(np.partition(unit.values, unit.n - k)[unit.n - k:])[::-1]
+        left = np.searchsorted(self._asc, values, side="left")
+        right = np.searchsorted(self._asc, values, side="right")
+        rank1 = self.size - right + 1  # competition: 1 + entries strictly above
+        if self.tie_policy == ORDINAL and np.any(right - left > 1):
+            # Equal values order by (label, key): count the equal entries of
+            # units whose label sorts first, then this unit's equal entries
+            # that precede in local order (values run descending).
+            labels = len(self._sizes)
+            tie_keys = self._tie_keys
+            first = tie_keys[left] // labels * labels + self._codes[label]
+            rank1 += np.searchsorted(tie_keys, first, side="left") - left
+            rank1 += np.arange(k) - np.searchsorted(-values, -values, side="left")
+        return rank1
+
+    @cached_property
+    def _tie_keys(self) -> np.ndarray:
+        """(run of equal values, label code) of each entry in ascending value
+        order, packed into one nondecreasing integer.  Built on the first
+        query that meets a tie: a stable sort of the label-ordered values
+        keeps each run in label order."""
+        codes = np.repeat(np.arange(len(self._sizes)), self._sizes)
+        codes = codes[np.argsort(self._values, kind="stable")]
+        runs = np.r_[0, np.cumsum(self._asc[1:] != self._asc[:-1])]
+        return runs * len(self._sizes) + codes
+
+
+def _check_k(k: int) -> None:
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+
+
 def dual_ranks(world: WorldIndex, label: str) -> list[RankPair]:
     """All rank pairs of one unit, ordered by local rank.
 
@@ -214,8 +307,7 @@ def dual_ranks(world: WorldIndex, label: str) -> list[RankPair]:
 
 def top_k(pairs: list[RankPair], k: int = 10, label: str | None = None) -> TopKRanks:
     """The k pairs with the smallest local ranks; refuses short units."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    _check_k(k)
     if len(pairs) < k:
         raise InsufficientPapersError(f"unit has {len(pairs)} papers, {k} required")
     chosen = sorted(pairs, key=lambda p: (p.rank2, p.rank1))[:k]

@@ -158,6 +158,23 @@ def test_assess_bad_rows_exit_one(tmp_path, capsys):
     ) == 0
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--k", "0"], "--k must be >= 1"),
+        (["--k", "-3"], "--k must be >= 1"),
+        (["--offset", "-30"], "--offset must be"),
+        (["--offset", "nan"], "--offset must be"),
+        (["--scale", "0"], "--scale must be"),
+    ],
+)
+def test_meaningless_index_flags_are_data_errors(tmp_path, small_cfg, capsys, flags, message):
+    out = tmp_path / "out"
+    assert main(["fig3", "--config", small_cfg, "--out", str(out), *flags]) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unknown_flag_is_usage_error(small_cfg):
     with pytest.raises(SystemExit) as exc:
         main(["gen", "--config", small_cfg, "--bogus"])

@@ -216,3 +216,18 @@ def test_windowed_corpora_produce_per_window_rows(tmp_path):
         trend.append((f"{start}-{end}", row.p, row.rk.rk))
     assert len(trend) == 3
     assert all(p == 30 and rk > 0 for _, p, rk in trend)
+
+
+def test_byte_order_mark_header_accepted(tmp_path):
+    path = tmp_path / "bom.csv"
+    path.write_bytes(b"\xef\xbb\xbf" + (HEADER + "p1,2015,12,USA\n").encode())
+    result = load_corpus(path)
+    assert [r.id for r in result.records] == ["p1"]
+    assert result.errors == []
+
+
+def test_invalid_utf8_is_format_error(tmp_path):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes((HEADER + "p1,2015,12,USA\n").encode() + b"p\xe9,2015,3,FRA\n")
+    with pytest.raises(CorpusFormatError, match=r"latin1\.csv: line 3 is not valid UTF-8"):
+        load_corpus(path)

@@ -8,9 +8,11 @@ from hypothesis import strategies as st
 
 from rankmetrics.rankcore import (
     COMPETITION,
+    ORDINAL,
     DuplicateLabelError,
     InsufficientPapersError,
     RankPair,
+    RankQuery,
     TopKRanks,
     UnknownLabelError,
     build_world,
@@ -20,7 +22,13 @@ from rankmetrics.rankcore import (
     top_k,
     write_rank_table,
 )
-from rankmetrics.synthdist import REAL, CitationSeries, EnsembleConfig, generate_ensemble
+from rankmetrics.synthdist import (
+    REAL,
+    SYNTHETIC,
+    CitationSeries,
+    EnsembleConfig,
+    generate_ensemble,
+)
 
 GM_FACTORIAL_10 = math.factorial(10) ** 0.1
 
@@ -214,3 +222,71 @@ def test_rank_table_export():
     assert lines[1] == "a,1,1,5.0"
     assert lines[2] == "a,2,3,3.0"
     assert lines[3] == "b,1,2,4.0"
+
+
+@st.composite
+def worlds(draw):
+    """1-4 series under distinct labels, keyed or not, holding either
+    integer counts 0..5 (heavy ties) or lognormal-like floats."""
+    labels = draw(st.lists(st.sampled_from("abcdef"), min_size=1, max_size=4, unique=True))
+    parts = []
+    for label in labels:
+        if draw(st.booleans()):
+            values = draw(st.lists(st.integers(0, 5), max_size=12))
+            origin = REAL
+        else:
+            logs = draw(st.lists(st.floats(-3.0, 3.0), max_size=12))
+            values, origin = np.exp(np.asarray(logs, dtype=np.float64)), SYNTHETIC
+        keys = None
+        if draw(st.booleans()):
+            keys = draw(st.permutations([f"m{i:02d}" for i in range(len(values))]))
+        parts.append(CitationSeries(label, values, origin=origin, keys=keys))
+    return parts
+
+
+@given(parts=worlds(), tie_policy=st.sampled_from([ORDINAL, COMPETITION]))
+@settings(max_examples=400, deadline=None)
+def test_rank_query_matches_world_index(parts, tie_policy):
+    if sum(p.n for p in parts) == 0:
+        for build in (build_world, RankQuery):
+            with pytest.raises(ValueError):
+                build(parts, tie_policy=tie_policy)
+        return
+    world = build_world(parts, tie_policy=tie_policy)
+    query = RankQuery(parts, tie_policy=tie_policy)
+    assert query.size == world.size
+    for part in parts:
+        expected = world.rank1[world.positions(part.label)]
+        for k in range(1, part.n + 1):
+            got = query.top_rank1s(part.label, k)
+            assert got.tolist() == expected[:k].tolist()
+        for oracle in (world, query):
+            with pytest.raises(InsufficientPapersError):
+                oracle.top_rank1s(part.label, part.n + 1)
+    # every rank, so every percentile_cutoff rank in particular
+    for rank in range(1, world.size + 1):
+        assert query.value_at_rank(rank) == world.value_at_rank(rank)
+    for rank in (0, world.size + 1):
+        with pytest.raises(ValueError):
+            query.value_at_rank(rank)
+
+
+def test_rank_query_rejects_what_build_world_rejects():
+    cases = [
+        (DuplicateLabelError, [series("a", [1]), series("a", [2])], ORDINAL),
+        (ValueError, [series("a", [])], ORDINAL),
+        (ValueError, [series("a", [1])], "dense"),
+    ]
+    for error, parts, policy in cases:
+        for build in (build_world, RankQuery):
+            with pytest.raises(error):
+                build(parts, tie_policy=policy)
+    parts = [series("a", [3, 1]), series("b", [])]
+    for world in (build_world(parts), RankQuery(parts)):
+        with pytest.raises(UnknownLabelError):
+            world.top_rank1s("zz", 1)
+        with pytest.raises(InsufficientPapersError):
+            world.top_rank1s("b", 1)
+        for k in (0, -3):
+            with pytest.raises(ValueError, match="k must be >= 1"):
+                world.top_rank1s("a", k)
