@@ -32,7 +32,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        check_indicator_flags(args)
+        check_flags(args)
         return args.handler(args)
     except DataError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -65,7 +65,6 @@ def build_parser() -> argparse.ArgumentParser:
         if config:
             p.add_argument("--config", help="ensemble config file (key = value lines)")
             p.add_argument("--seed", type=int, help="override the config seed")
-            p.add_argument("--jobs", type=int, default=1, help="sampling threads")
         if corpus:
             p.add_argument("--input", help="corpus CSV (id,year,citations,countries[,field])")
             p.add_argument("--meta", help="corpus metadata JSON sidecar")
@@ -123,7 +122,6 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "fig4":
             p.add_argument("--config", help="extended grid config (default: built-in 115-series grid)")
             p.add_argument("--seed", type=int, help="seed for the built-in grid or config override")
-            p.add_argument("--jobs", type=int, default=1)
         add_indicator_flags(p)
         if name == "tables1":
             p.add_argument("--sample-size", type=int, default=15)
@@ -139,13 +137,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def check_indicator_flags(args) -> None:
-    """Refuse index parameters that have no meaning: the index needs at
-    least one paper, and a finite offset >= 0 and scale > 0."""
+def check_flags(args) -> None:
+    """Refuse flags that have no meaning: the index needs at least one
+    paper (--k), a finite offset >= 0 and scale > 0; a rank table at
+    least one row per unit (--top); a sample table at least one series
+    (--sample-size)."""
+    for name in ("k", "top", "sample_size"):
+        value = getattr(args, name, None)
+        if value is not None and value < 1:
+            raise DataError(f"--{name.replace('_', '-')} must be >= 1, got {value}")
     if not hasattr(args, "k"):
         return
-    if args.k < 1:
-        raise DataError(f"--k must be >= 1, got {args.k}")
     if not (math.isfinite(args.offset) and args.offset >= 0):
         raise DataError(f"--offset must be a finite number >= 0, got {args.offset}")
     if not (math.isfinite(args.scale) and args.scale > 0):
@@ -191,17 +193,13 @@ def emit_rows(rows: list[dict], columns, args, name: str, parameters: dict) -> i
     if args.format == "json":
         print(json.dumps(rows, indent=1))
     else:
-        buf = io.StringIO()
-        buf.write(",".join(columns) + "\n")
-        for row in rows:
-            buf.write(",".join(experiments._cell(row[c]) for c in columns) + "\n")
-        sys.stdout.write(buf.getvalue())
+        sys.stdout.write(experiments.csv_text(columns, rows))
     return 0
 
 
 def cmd_gen(args) -> int:
     config = load_run_config(args)
-    ensemble = synthdist.generate_ensemble(config, jobs=args.jobs)
+    ensemble = synthdist.generate_ensemble(config)
     if not args.out:
         raise DataError("gen requires --out")
     os.makedirs(args.out, exist_ok=True)
@@ -229,7 +227,7 @@ def cmd_gen(args) -> int:
 
 def cmd_rank(args) -> int:
     config = load_run_config(args)
-    ensemble = synthdist.generate_ensemble(config, jobs=args.jobs)
+    ensemble = synthdist.generate_ensemble(config)
     world = rankcore.build_world(list(ensemble.series), tie_policy=args.tie_policy)
     labels = args.labels.split(",") if args.labels else None
     rows = list(rankcore.rank_table_rows(world, labels=labels, top=args.top))
@@ -240,14 +238,18 @@ def cmd_rank(args) -> int:
     return emit_rows(rows, ("label", "rank2", "rank1", "value"), args, "rank", params)
 
 
-def cmd_rk(args) -> int:
-    records = load_corpus_or_fail(args)
+def corpus_unit(args, records) -> ingest.AssessmentRow:
+    """The assessment row of --country and --split."""
     rows = ingest.assess(
         records, [args.country], k=args.k, offset=args.offset,
         scale=args.scale, tie_policy=args.tie_policy,
     )
-    rows = [r for r in rows if r.split == args.split]
-    table = ingest.assessment_table(rows)
+    return next(r for r in rows if r.split == args.split)
+
+
+def cmd_rk(args) -> int:
+    records = load_corpus_or_fail(args)
+    table = ingest.assessment_table([corpus_unit(args, records)])
     params = corpus_parameters(args)
     return emit_rows(table, ingest.ASSESSMENT_COLUMNS, args, "rk", params)
 
@@ -259,6 +261,9 @@ def parse_x_list(text: str) -> list[float]:
         raise DataError(f"bad percentile list {text!r}") from exc
     if not xs:
         raise DataError("empty percentile list")
+    for x in xs:
+        if not 0 < x <= 100:
+            raise DataError(f"percentile must satisfy 0 < x <= 100, got {x:g}")
     return xs
 
 
@@ -278,24 +283,11 @@ def ptop_corpus(args, xs) -> int:
     records = load_corpus_or_fail(args)
     if not args.country or not args.split:
         raise DataError("corpus ptop needs --country and --split")
-    split = ingest.split_country(records, args.country)
-    ids = set(split.domestic if args.split == ingest.DOMESTIC else split.collaborative)
-    by_id = {r.id: r for r in records}
-    rank_of = ingest.corpus_world_ranks(records, tie_policy=args.tie_policy)
-    ranks = sorted(rank_of[i] for i in ids)
-    row = {
-        "label": f"{args.country}:{args.split}",
-        "p": len(ids),
-        "p0": sum(1 for i in ids if by_id[i].citations == 0),
-    }
+    unit = corpus_unit(args, records)
+    row = {"label": f"{args.country}:{args.split}", "p": unit.p, "p0": unit.p0}
     for x in xs:
-        cutoff = indicators.percentile_cutoff(x, len(records))
-        row[f"ptop_{x:g}"] = sum(1 for r in ranks if r <= cutoff)
-    row["rk"] = (
-        indicators.rk_from_rank1s(ranks[: args.k], offset=args.offset, scale=args.scale)
-        if len(ranks) >= args.k
-        else ""
-    )
+        row[f"ptop_{x:g}"] = ingest.top_count(unit.ranks, x, len(records))
+    row["rk"] = "" if unit.rk is None else unit.rk.rk
     columns = ["label", "p", "p0"] + [f"ptop_{x:g}" for x in xs] + ["rk"]
     params = corpus_parameters(args, x=xs)
     return emit_rows([row], columns, args, "ptop", params)
@@ -303,7 +295,7 @@ def ptop_corpus(args, xs) -> int:
 
 def ptop_synthetic(args, xs) -> int:
     config = load_run_config(args)
-    ensemble = synthdist.generate_ensemble(config, jobs=args.jobs)
+    ensemble = synthdist.generate_ensemble(config)
     world = rankcore.RankQuery(list(ensemble.series), tie_policy=args.tie_policy)
     if args.labels:
         labels = args.labels.split(",")
@@ -338,11 +330,11 @@ def make_experiment_handler(name: str):
                 config = experiments.extended_grid(args.seed)
             report = experiments.run_fig4(
                 config, k=args.k, offset=args.offset, scale=args.scale,
-                tie_policy=args.tie_policy, jobs=args.jobs,
+                tie_policy=args.tie_policy,
             )
         else:
             config = load_run_config(args)
-            ensemble = synthdist.generate_ensemble(config, jobs=args.jobs)
+            ensemble = synthdist.generate_ensemble(config)
             if name == "tables1":
                 report = experiments.run_table_s1(
                     ensemble, sample_size=args.sample_size, k=args.k,
@@ -408,13 +400,10 @@ def cmd_assess(args) -> int:
         ]
     else:
         raise DataError("assess needs --countries or --countries-file")
-    try:
-        rows = ingest.assess(
-            records, countries, k=args.k, offset=args.offset,
-            scale=args.scale, tie_policy=args.tie_policy,
-        )
-    except ingest.UnknownCountryError as exc:
-        raise DataError(f"country {exc} does not appear in the corpus") from exc
+    rows = ingest.assess(
+        records, countries, k=args.k, offset=args.offset,
+        scale=args.scale, tie_policy=args.tie_policy,
+    )
     table = ingest.assessment_table(rows)
     params = corpus_parameters(args, countries=countries)
     return emit_rows(table, ingest.ASSESSMENT_COLUMNS, args, "assess", params)

@@ -70,12 +70,6 @@ class ExperimentReport:
         if not self.config_hash:
             self.config_hash = config_hash(self.parameters)
 
-    def to_csv(self) -> str:
-        lines = [",".join(self.columns)]
-        for row in self.rows:
-            lines.append(",".join(_cell(row[c]) for c in self.columns))
-        return "\n".join(lines) + "\n"
-
     def sidecar(self) -> dict:
         # no timestamp here: fixed-seed runs must emit identical bytes
         return {
@@ -86,6 +80,14 @@ class ExperimentReport:
             "row_count": len(self.rows),
             "tool_version": __version__,
         }
+
+
+def csv_text(columns, rows: list[dict]) -> str:
+    """Header plus one comma-joined line per row; floats keep full precision."""
+    lines = [",".join(columns)]
+    for row in rows:
+        lines.append(",".join(_cell(row[c]) for c in columns))
+    return "\n".join(lines) + "\n"
 
 
 def _cell(value) -> str:
@@ -103,7 +105,7 @@ def write_report(report: ExperimentReport, out_dir, fmt: str = "csv") -> list[st
     paths = []
     if fmt == "csv":
         data_path = base + ".csv"
-        atomic_write_text(data_path, report.to_csv())
+        atomic_write_text(data_path, csv_text(report.columns, report.rows))
     elif fmt == "json":
         data_path = base + ".rows.json"
         atomic_write_text(data_path, json.dumps(report.rows, indent=1) + "\n")
@@ -369,11 +371,10 @@ def run_fig4(
     offset: float = 20.0,
     scale: float = 1000.0,
     tie_policy: str = ORDINAL,
-    jobs: int = 1,
 ) -> ExperimentReport:
     """Equivalence ranges: rank-index to top-percentile ratios per series,
     flagged where the index may substitute for the percentile count."""
-    ensemble = generate_ensemble(extended_config, jobs=jobs)
+    ensemble = generate_ensemble(extended_config)
     world = _world_of(ensemble, tie_policy)
     rows = []
     for spec in ensemble.specs:

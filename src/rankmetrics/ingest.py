@@ -14,7 +14,8 @@ from __future__ import annotations
 import csv
 import json
 import warnings
-from dataclasses import dataclass
+from bisect import bisect_right
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .indicators import DEFAULT_K, DEFAULT_OFFSET, DEFAULT_SCALE, RkResult, percentile_cutoff, rk_from_rank1s
@@ -36,7 +37,8 @@ class CorpusFormatError(ValueError):
 
 
 class UnknownCountryError(KeyError):
-    pass
+    def __str__(self):
+        return f"country {self.args[0]!r} does not appear in the corpus"
 
 
 class EmptyCorpusError(ValueError):
@@ -118,7 +120,9 @@ class CountrySplit:
 class AssessmentRow:
     """Indicator bundle for one country and split: paper count, uncited
     count, top-10% count and share, and the rank index (or an explicit
-    insufficient-papers marker for units below k papers)."""
+    insufficient-papers marker for units below k papers).  `ranks` are
+    the world ranks of the unit's papers, ascending, from which every
+    indicator of the unit is read."""
 
     country: str
     split: str
@@ -128,6 +132,7 @@ class AssessmentRow:
     ptop10_over_p: float | None
     rk: RkResult | None
     rk_status: str
+    ranks: tuple[int, ...] = field(repr=False)
 
 
 def _parse_row(row: list[str], line: int, has_field: bool, meta: CorpusMeta | None):
@@ -266,18 +271,18 @@ def assess(
     domestic ranks still compete with everyone's collaborative papers.
     """
     rank_of = corpus_world_ranks(records, tie_policy=tie_policy)
-    by_id = {r.id: r for r in records}
-    cutoff10 = percentile_cutoff(10.0, len(records))
+    # Under both tie policies a cited paper holds a world rank <= cited
+    # and an uncited one a rank > cited, so p0 counts ranks > cited.
+    cited = sum(1 for r in records if r.citations > 0)
     rows = []
     for country in countries:
         split = split_country(records, country)
         for kind, ids in ((DOMESTIC, split.domestic), (COLLABORATIVE, split.collaborative)):
-            ranks = sorted(rank_of[i] for i in ids)
-            p = len(ids)
-            p0 = sum(1 for i in ids if by_id[i].citations == 0)
-            ptop10 = sum(1 for r in ranks if r <= cutoff10)
+            ranks = tuple(sorted(rank_of[i] for i in ids))
+            p = len(ranks)
+            ptop10 = top_count(ranks, 10.0, len(records))
             if p >= k:
-                rank1s = tuple(ranks[:k])
+                rank1s = ranks[:k]
                 rk = RkResult(
                     label=f"{country}:{kind}",
                     rk=rk_from_rank1s(rank1s, offset=offset, scale=scale),
@@ -291,14 +296,20 @@ def assess(
                     country=country,
                     split=kind,
                     p=p,
-                    p0=p0,
+                    p0=p - bisect_right(ranks, cited),
                     ptop10=ptop10,
                     ptop10_over_p=(ptop10 / p) if p else None,
                     rk=rk,
                     rk_status=status,
+                    ranks=ranks,
                 )
             )
     return rows
+
+
+def top_count(ranks: tuple[int, ...], x: float, world_size: int) -> int:
+    """Papers among ascending world `ranks` that hold a top-x% world rank."""
+    return bisect_right(ranks, percentile_cutoff(x, world_size))
 
 
 ASSESSMENT_COLUMNS = ("country", "split", "p", "p0", "ptop10", "ptop10_over_p", "rk", "rk_status")

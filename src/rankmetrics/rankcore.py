@@ -91,9 +91,6 @@ class WorldIndex:
     def size(self) -> int:
         return int(self.values.size)
 
-    def owner_of(self, position: int) -> str:
-        return self.labels[self.owners[position]]
-
     def positions(self, label: str) -> np.ndarray:
         """World positions (0-based, ascending) of the papers a unit owns."""
         try:
@@ -334,13 +331,17 @@ def ratio_index(top: TopKRanks) -> float:
 
 
 def rank_table_rows(world: WorldIndex, labels=None, top: int | None = None):
-    """Rows for the rank-table export: label,rank2,rank1,value."""
+    """Rows for the rank-table export: label,rank2,rank1,value.
+
+    `top` keeps each unit's first n pairs; `dual_ranks` already orders
+    them by (rank2, rank1).
+    """
+    if top is not None:
+        _check_k(top)
     chosen = list(labels) if labels is not None else list(world.labels)
     for label in chosen:
         pairs = dual_ranks(world, label)
-        if top is not None:
-            pairs = sorted(pairs, key=lambda p: (p.rank2, p.rank1))[:top]
-        for pair in pairs:
+        for pair in pairs[:top]:
             yield {"label": label, "rank2": pair.rank2, "rank1": pair.rank1, "value": pair.value}
 
 

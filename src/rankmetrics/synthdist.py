@@ -9,7 +9,6 @@ per (mu, size) cell, with labels assigned in grid order (aa, ab, ...).
 from __future__ import annotations
 
 import csv
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -210,8 +209,8 @@ def build_grid(config: EnsembleConfig) -> list[LognormalSpec]:
 def sample_series(spec: LognormalSpec, seed: int, stream_id: int) -> CitationSeries:
     """Draw `spec.n` values exp(mu + sigma*z) from the stream (seed, stream_id).
 
-    Streams are independent and order-free: sampling series concurrently
-    or in any order reproduces the same values for the same arguments.
+    Streams are independent and order-free: sampling series in any order
+    reproduces the same values for the same arguments.
     """
     if not (isinstance(seed, int) and 0 <= seed < 2**64):
         raise ValueError("seed must be an unsigned 64-bit integer")
@@ -251,16 +250,10 @@ class Ensemble:
         return [spec.label for spec in self.specs]
 
 
-def generate_ensemble(config: EnsembleConfig, jobs: int = 1) -> Ensemble:
+def generate_ensemble(config: EnsembleConfig) -> Ensemble:
     """Build and sample the whole grid; stream id = grid index of the spec."""
     specs = build_grid(config)
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            series = list(
-                pool.map(lambda item: sample_series(item[1], config.seed, item[0]), enumerate(specs))
-            )
-    else:
-        series = [sample_series(spec, config.seed, i) for i, spec in enumerate(specs)]
+    series = [sample_series(spec, config.seed, i) for i, spec in enumerate(specs)]
     return Ensemble(config=config, specs=tuple(specs), series=tuple(series))
 
 

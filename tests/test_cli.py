@@ -1,9 +1,12 @@
 import json
+import math
 import os
+from fractions import Fraction
 
 import pytest
 
 from rankmetrics.cli import main
+from rankmetrics.ingest import corpus_world_ranks, load_corpus
 
 SMALL_CFG = (
     "mu_start = 4.0\nmu_end = 2.0\nmu_count = 33\nsizes = 800,400,200\nseed = 7\n"
@@ -17,6 +20,13 @@ CORPUS = (
     + "\n"
     + "\n".join(f"m{i:03d},2015,{200 - i},USA;CHN" for i in range(15))
     + "\n"
+)
+
+# Integer counts 0..12 over 400 papers: blocks of about 31 tied papers,
+# cut by the top-x% cutoffs, and ids in an order other than row order.
+TIED_CORPUS = "id,year,citations,countries\n" + "".join(
+    f"t{i * 37 % 400:03d},2015,{i * 7 % 13},{('USA', 'CHN', 'USA;CHN', 'JPN', 'USA;JPN')[i % 5]}\n"
+    for i in range(400)
 )
 
 
@@ -101,6 +111,31 @@ def test_ptop_corpus_empirical(corpus_csv, capsys):
     assert lines[1].startswith("USA:domestic,30,0,")
 
 
+@pytest.mark.parametrize("split", ["domestic", "collaborative"])
+@pytest.mark.parametrize("tie_policy", ["ordinal", "competition"])
+def test_ptop_corpus_matches_rk_and_brute_force(tmp_path, capsys, tie_policy, split):
+    path = tmp_path / "tied.csv"
+    path.write_text(TIED_CORPUS)
+    flags = ["--input", str(path), "--country", "USA", "--split", split,
+             "--tie-policy", tie_policy, "--format", "json"]
+    xs = ("1", "10", "25", "50", "100")
+    assert main(["rk", *flags]) == 0
+    (rk_row,) = json.loads(capsys.readouterr().out)
+    assert main(["ptop", *flags, "--x", ",".join(xs)]) == 0
+    (ptop_row,) = json.loads(capsys.readouterr().out)
+    assert (ptop_row["p"], ptop_row["p0"], ptop_row["rk"]) == (rk_row["p"], rk_row["p0"], rk_row["rk"])
+
+    records = load_corpus(path).records
+    rank_of = corpus_world_ranks(records, tie_policy=tie_policy)
+    members = [r for r in records
+               if "USA" in r.countries and (len(r.countries) == 1) == (split == "domestic")]
+    assert rk_row["p"] == len(members)
+    assert rk_row["p0"] == sum(1 for r in members if r.citations == 0)
+    for x in xs:
+        cutoff = math.floor(Fraction(x) * len(records) / 100)
+        assert ptop_row[f"ptop_{x}"] == sum(1 for r in members if rank_of[r.id] <= cutoff)
+
+
 def test_ptop_synthetic_table(tmp_path, small_cfg, capsys):
     assert main(
         ["ptop", "--config", small_cfg, "--labels", "aa,ab,ac", "--x", "10,0.1"]
@@ -175,6 +210,27 @@ def test_meaningless_index_flags_are_data_errors(tmp_path, small_cfg, capsys, fl
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["ptop", "--x", "0"], "percentile must satisfy 0 < x <= 100"),
+        (["ptop", "--x", "10,150"], "percentile must satisfy 0 < x <= 100"),
+        (["tables1", "--sample-size", "0"], "--sample-size must be >= 1"),
+        (["rank", "--top", "-1"], "--top must be >= 1"),
+        (["rank", "--top", "0"], "--top must be >= 1"),
+    ],
+)
+@pytest.mark.parametrize("to_dir", [True, False], ids=["out", "stdout"])
+def test_out_of_range_selections_are_data_errors(tmp_path, small_cfg, capsys, argv, message, to_dir):
+    out = tmp_path / "out"
+    extra = ["--out", str(out)] if to_dir else []
+    assert main([argv[0], "--config", small_cfg, *argv[1:], *extra]) == 1
+    captured = capsys.readouterr()
+    assert f"error: {message}" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_unknown_flag_is_usage_error(small_cfg):
     with pytest.raises(SystemExit) as exc:
         main(["gen", "--config", small_cfg, "--bogus"])
@@ -194,10 +250,19 @@ def test_missing_input_is_data_error(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
-def test_unknown_country_is_data_error(corpus_csv, capsys):
-    code = main(["assess", "--input", corpus_csv, "--countries", "FRA"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["assess", "--countries", "ZZZ"],
+        ["rk", "--country", "ZZZ", "--split", "domestic"],
+        ["ptop", "--country", "ZZZ", "--split", "collaborative"],
+    ],
+    ids=["assess", "rk", "ptop"],
+)
+def test_unknown_country_is_data_error(corpus_csv, capsys, argv):
+    code = main([argv[0], "--input", corpus_csv, *argv[1:]])
     assert code == 1
-    assert "FRA" in capsys.readouterr().err
+    assert "error: country 'ZZZ' does not appear in the corpus" in capsys.readouterr().err
 
 
 def test_unwritable_out_is_data_error(tmp_path, small_cfg, capsys):

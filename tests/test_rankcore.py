@@ -18,6 +18,7 @@ from rankmetrics.rankcore import (
     build_world,
     dual_ranks,
     geometric_mean,
+    rank_table_rows,
     ratio_index,
     top_k,
     write_rank_table,
@@ -222,6 +223,13 @@ def test_rank_table_export():
     assert lines[1] == "a,1,1,5.0"
     assert lines[2] == "a,2,3,3.0"
     assert lines[3] == "b,1,2,4.0"
+
+
+@pytest.mark.parametrize("top", [0, -1])
+def test_rank_table_rejects_top_below_one(top):
+    world = build_world([series("a", [5, 3]), series("b", [4])])
+    with pytest.raises(ValueError, match="must be >= 1"):
+        list(rank_table_rows(world, top=top))
 
 
 @st.composite

@@ -150,9 +150,10 @@ def test_ensemble_reproducible_and_order_free():
     config = EnsembleConfig(4.0, 2.0, 5, (30, 20), seed=123)
     one = generate_ensemble(config)
     two = generate_ensemble(config)
-    threaded = generate_ensemble(config, jobs=4)
-    for s1, s2, s3 in zip(one.series, two.series, threaded.series):
-        assert s1.values.tobytes() == s2.values.tobytes() == s3.values.tobytes()
+    specs = list(enumerate(one.specs))
+    reverse = {spec.label: sample_series(spec, config.seed, i) for i, spec in reversed(specs)}
+    for s1, s2 in zip(one.series, two.series):
+        assert s1.values.tobytes() == s2.values.tobytes() == reverse[s1.label].values.tobytes()
 
 
 def test_series_validation():
