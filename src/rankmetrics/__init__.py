@@ -27,7 +27,6 @@ from .rankcore import (
     RankPair,
     RankQuery,
     TopKRanks,
-    WorldIndex,
     build_world,
     dual_ranks,
     geometric_mean,
@@ -63,7 +62,6 @@ __all__ = [
     "RankPair",
     "RankQuery",
     "TopKRanks",
-    "WorldIndex",
     "build_world",
     "dual_ranks",
     "geometric_mean",

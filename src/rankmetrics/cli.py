@@ -61,7 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"rankmetrics {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, config=False, corpus=False, out=True):
+    def add_common(p, config=False, corpus=False, report=True):
         if config:
             p.add_argument("--config", help="ensemble config file (key = value lines)")
             p.add_argument("--seed", type=int, help="override the config seed")
@@ -72,10 +72,10 @@ def build_parser() -> argparse.ArgumentParser:
                 "--skip-bad-rows", action="store_true",
                 help="proceed with valid rows instead of failing on row errors",
             )
-        p.add_argument("--tie-policy", choices=TIE_POLICIES, default=rankcore.ORDINAL)
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-        if out:
-            p.add_argument("--out", help="output directory (default: stdout where supported)")
+        if report:  # gen writes a fixed set of CSV files and ranks nothing
+            p.add_argument("--tie-policy", choices=TIE_POLICIES, default=rankcore.ORDINAL)
+            p.add_argument("--format", choices=("csv", "json"), default="csv")
+        p.add_argument("--out", help="output directory (default: stdout where supported)")
 
     def add_indicator_flags(p):
         p.add_argument("--k", type=int, default=indicators.DEFAULT_K)
@@ -83,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--scale", type=float, default=indicators.DEFAULT_SCALE)
 
     p = sub.add_parser("gen", help="generate an ensemble and export it")
-    add_common(p, config=True)
+    add_common(p, config=True, report=False)
     p.set_defaults(handler=cmd_gen)
 
     p = sub.add_parser("rank", help="export the dual-rank table of an ensemble")
@@ -199,9 +199,9 @@ def emit_rows(rows: list[dict], columns, args, name: str, parameters: dict) -> i
 
 def cmd_gen(args) -> int:
     config = load_run_config(args)
-    ensemble = synthdist.generate_ensemble(config)
     if not args.out:
         raise DataError("gen requires --out")
+    ensemble = synthdist.generate_ensemble(config)
     os.makedirs(args.out, exist_ok=True)
     params = {"config": config.to_dict()}
     digest = config_hash(params)
@@ -296,7 +296,7 @@ def ptop_corpus(args, xs) -> int:
 def ptop_synthetic(args, xs) -> int:
     config = load_run_config(args)
     ensemble = synthdist.generate_ensemble(config)
-    world = rankcore.RankQuery(list(ensemble.series), tie_policy=args.tie_policy)
+    world = rankcore.build_world(list(ensemble.series), tie_policy=args.tie_policy)
     if args.labels:
         labels = args.labels.split(",")
     else:
@@ -394,10 +394,9 @@ def cmd_assess(args) -> int:
     if args.countries:
         countries = [c.strip() for c in args.countries.split(",") if c.strip()]
     elif args.countries_file:
-        countries = [
-            line.strip() for line in open(args.countries_file, encoding="utf-8")
-            if line.strip() and not line.startswith("#")
-        ]
+        with open(args.countries_file, encoding="utf-8") as handle:
+            lines = [line.strip() for line in handle]
+        countries = [line for line in lines if line and not line.startswith("#")]
     else:
         raise DataError("assess needs --countries or --countries-file")
     rows = ingest.assess(

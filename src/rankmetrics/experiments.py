@@ -18,8 +18,7 @@ import numpy as np
 
 from . import __version__
 from .indicators import analytic_ptop, rk_from_rank1s
-from .rankcore import ORDINAL, RankQuery, WorldIndex
-from .rankcore import build_world  # noqa: F401  -- perfbench/spans.py wraps this name
+from .rankcore import ORDINAL, RankQuery, build_world, geometric_mean
 from .synthdist import Ensemble, EnsembleConfig, generate_ensemble
 
 FIG2_PERCENTILES = (10.0, 3.0, 1.0, 0.5, 0.1)
@@ -118,16 +117,12 @@ def write_report(report: ExperimentReport, out_dir, fmt: str = "csv") -> list[st
     return paths
 
 
-def _world_of(ensemble: Ensemble, tie_policy: str) -> RankQuery:
-    return RankQuery(list(ensemble.series), tie_policy=tie_policy)
-
-
-def top_rank1s(world: RankQuery | WorldIndex, label: str, k: int) -> np.ndarray:
+def top_rank1s(world: RankQuery, label: str, k: int) -> np.ndarray:
     """Global ranks of the unit's k locally best papers, local order."""
     return world.top_rank1s(label, k)
 
 
-def rank_trace(world: RankQuery | WorldIndex, label: str, k: int) -> list[tuple[int, int]]:
+def rank_trace(world: RankQuery, label: str, k: int) -> list[tuple[int, int]]:
     """(rank2, rank1) pairs for the unit's k locally best papers."""
     ranks = top_rank1s(world, label, k)
     return [(i + 1, int(r)) for i, r in enumerate(ranks)]
@@ -165,14 +160,14 @@ def run_table_s1(
     Each sampled series contributes k rows of (rank2, rank1, ratio) plus
     the geometric mean of its ratios, repeated down the block.
     """
-    world = _world_of(ensemble, tie_policy)
+    world = build_world(list(ensemble.series), tie_policy=tie_policy)
     positions = sample_positions(len(ensemble.specs), sample_size)
     rows = []
     for pos in positions:
         spec = ensemble.specs[pos]
         ranks = top_rank1s(world, spec.label, k)
         ratios = [(i + 1) / float(r) for i, r in enumerate(ranks)]
-        gm = float(np.exp(np.mean(np.log(ratios))))
+        gm = geometric_mean(ratios)
         for i, r in enumerate(ranks):
             rows.append(
                 {
@@ -228,7 +223,7 @@ def run_fig1(
 ) -> ExperimentReport:
     """Collapse study: per selected series, the geometric means of inverse
     global ranks (raw and offset) against expected top-10% / top-0.1% counts."""
-    world = _world_of(ensemble, tie_policy)
+    world = build_world(list(ensemble.series), tie_policy=tie_policy)
     labels = select_99(ensemble)
     rows = []
     for label in labels:
@@ -268,7 +263,7 @@ def run_fig2(
 ) -> ExperimentReport:
     """Stringency tiers: the 99 selected series split 33/33/33 by
     descending rank index, with expected counts for several percentiles."""
-    world = _world_of(ensemble, tie_policy)
+    world = build_world(list(ensemble.series), tie_policy=tie_policy)
     labels = select_99(ensemble)
     entries = []
     for label in labels:
@@ -324,7 +319,7 @@ def run_fig3(
     for n in size_pair:
         if n not in config.sizes:
             raise SelectionError(f"grid sizes {config.sizes} do not include {n}")
-    world = _world_of(ensemble, tie_policy)
+    world = build_world(list(ensemble.series), tie_policy=tie_policy)
     rows = []
     for target in mu_targets:
         mu_idx = nearest_mu_index(config, target)
@@ -375,7 +370,7 @@ def run_fig4(
     """Equivalence ranges: rank-index to top-percentile ratios per series,
     flagged where the index may substitute for the percentile count."""
     ensemble = generate_ensemble(extended_config)
-    world = _world_of(ensemble, tie_policy)
+    world = build_world(list(ensemble.series), tie_policy=tie_policy)
     rows = []
     for spec in ensemble.specs:
         ranks = top_rank1s(world, spec.label, k)

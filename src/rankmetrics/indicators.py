@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rankcore import TopKRanks, WorldIndex
+from .rankcore import RankQuery, TopKRanks
 from .synthdist import REAL, CitationSeries, LognormalSpec
 
 DEFAULT_K = 10
@@ -106,11 +106,11 @@ def percentile_cutoff(x: float, world_size: int) -> int:
     return int(math.floor(t * (1.0 + 4.0 * sys.float_info.epsilon)))
 
 
-def empirical_ptop(world: WorldIndex, label: str, x: float) -> PercentileResult:
+def empirical_ptop(world: RankQuery, label: str, x: float) -> PercentileResult:
     """Count a unit's papers holding world rank <= floor(x/100 * W)."""
     cutoff = percentile_cutoff(x, world.size)
-    pos = world.positions(label)
-    count = int(np.count_nonzero(world.rank1[pos] <= cutoff)) if cutoff else 0
+    n = world.unit_values(label).size
+    count = int(np.count_nonzero(world.top_rank1s(label, n) <= cutoff)) if cutoff and n else 0
     threshold = world.value_at_rank(cutoff) if cutoff else math.inf
     return PercentileResult(
         label=label, x=x, mode=EMPIRICAL, value=count, threshold=threshold, cutoff_rank=cutoff
@@ -127,7 +127,7 @@ def lognormal_survival(mu: float, sigma: float, c: float) -> float:
     return 0.5 * math.erfc(z / math.sqrt(2.0))
 
 
-def analytic_ptop(spec: LognormalSpec, world: WorldIndex, x: float) -> PercentileResult:
+def analytic_ptop(spec: LognormalSpec, world: RankQuery, x: float) -> PercentileResult:
     """Expected top-x% paper count of a series against an observed world.
 
     The threshold is the world's citation value at the cutoff rank; the

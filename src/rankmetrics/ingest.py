@@ -26,6 +26,7 @@ DOMESTIC = "domestic"
 COLLABORATIVE = "collaborative"
 
 CORPUS_COLUMNS = ("id", "year", "citations", "countries")
+MAX_CITATIONS = 2**53
 WINDOW_DISPLACEMENT_YEARS = 5
 
 RK_OK = "ok"
@@ -150,6 +151,9 @@ def _parse_row(row: list[str], line: int, has_field: bool, meta: CorpusMeta | No
     citations = int(row[2])
     if citations < 0:
         raise ValueError(f"negative citation count {citations}")
+    if citations > MAX_CITATIONS:
+        # counts rank as float64, exact only up to 2**53
+        raise ValueError(f"citation count above 2**53 ({MAX_CITATIONS})")
     countries = []
     for code in row[3].split(";"):
         code = code.strip()
@@ -247,14 +251,14 @@ def corpus_world_ranks(records: list[PaperRecord], tie_policy: str = ORDINAL) ->
     """
     if not records:
         raise EmptyCorpusError("corpus holds no records")
-    series = CitationSeries(
-        label="corpus",
-        values=[float(r.citations) for r in records],
-        origin=REAL,
-        keys=[r.id for r in records],
-    )
-    world = build_world([series], tie_policy=tie_policy)
-    return {key: int(rank) for key, rank in zip(world.keys, world.rank1)}
+    ordered = sorted(records, key=lambda r: r.id)
+    for a, b in zip(ordered, ordered[1:]):
+        if a.id == b.id:
+            raise ValueError(f"duplicate id {a.id!r}")
+    ordered.sort(key=lambda r: -r.citations)  # stable: equal counts stay in id order
+    series = CitationSeries("corpus", [r.citations for r in ordered], origin=REAL)
+    ranks = build_world([series], tie_policy=tie_policy).top_rank1s("corpus", len(ordered))
+    return dict(zip((r.id for r in ordered), map(int, ranks)))
 
 
 def assess(

@@ -2,15 +2,14 @@
 
 Every paper gets two ranks: its position in the aggregated, citation-
 descending world list (rank1) and its position within its own unit's
-list (rank2).  `build_world` orders every paper into a `WorldIndex`, from
-which the full dual-rank table is read; `RankQuery` answers only the
-top-k rank1 queries the studies need, from one sorted value array.
-Both are built once and then shared read-only.
+list (rank2).  `build_world` holds a world as one sorted value array, a
+`RankQuery`, which answers the global ranks of a unit's best papers and
+the value at any world rank; the full dual-rank table of a unit is its
+top-n query.  A world is built once and then shared read-only.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -69,55 +68,6 @@ class TopKRanks:
         return tuple(p.rank1 for p in self.pairs)
 
 
-@dataclass(frozen=True, eq=False)
-class WorldIndex:
-    """Immutable citation-descending index over all papers of all units.
-
-    `values`, `owners` (label codes), `keys` and `rank1` are aligned
-    arrays in world order.  Under the ordinal policy ranks are 1..W with
-    ties broken by (value desc, label, key); under the competition
-    policy tied values share their block's smallest rank.
-    """
-
-    values: np.ndarray
-    owners: np.ndarray
-    keys: tuple
-    labels: tuple[str, ...]
-    rank1: np.ndarray
-    tie_policy: str
-    _positions: dict
-
-    @property
-    def size(self) -> int:
-        return int(self.values.size)
-
-    def positions(self, label: str) -> np.ndarray:
-        """World positions (0-based, ascending) of the papers a unit owns."""
-        try:
-            return self._positions[label]
-        except KeyError:
-            raise UnknownLabelError(label) from None
-
-    def top_rank1s(self, label: str, k: int) -> np.ndarray:
-        """Global ranks of the unit's k locally best papers, local order."""
-        _check_k(k)
-        pos = self.positions(label)
-        if pos.size < k:
-            raise InsufficientPapersError(f"unit {label} has {pos.size} papers, {k} required")
-        return self.rank1[pos][:k]
-
-    def entries(self):
-        """Iterate (value, owner label, member key) in world order."""
-        for i in range(self.size):
-            yield float(self.values[i]), self.labels[self.owners[i]], self.keys[i]
-
-    def value_at_rank(self, rank: int) -> float:
-        """Citation value of the entry holding 1-based world position `rank`."""
-        if not 1 <= rank <= self.size:
-            raise ValueError(f"rank {rank} outside 1..{self.size}")
-        return float(self.values[rank - 1])
-
-
 def _competition_ranks(sorted_desc: np.ndarray) -> np.ndarray:
     """Min-rank over blocks of equal values in a descending array."""
     n = sorted_desc.size
@@ -126,103 +76,34 @@ def _competition_ranks(sorted_desc: np.ndarray) -> np.ndarray:
     return np.repeat(starts + 1, lengths)
 
 
-def _check_world(series: list[CitationSeries], tie_policy: str) -> int:
-    """Reject a world no index can be built from; returns its paper count."""
-    if tie_policy not in TIE_POLICIES:
-        raise ValueError(f"tie_policy must be one of {TIE_POLICIES}")
-    labels = [s.label for s in series]
-    if len(set(labels)) != len(labels):
-        seen, dups = set(), set()
-        for lab in labels:
-            (dups if lab in seen else seen).add(lab)
-        raise DuplicateLabelError(f"duplicate series labels: {sorted(dups)}")
-    total = sum(s.n for s in series)
-    if total == 0:
-        raise ValueError("cannot build a world from all-empty series")
-    return total
-
-
-def build_world(series: list[CitationSeries], tie_policy: str = ORDINAL) -> WorldIndex:
-    """Aggregate series into one citation-descending world index.
-
-    The ordering is a total order independent of the input series order:
-    value descending, then label, then per-series member key.
-    """
-    labels = [s.label for s in series]
-    total = _check_world(series, tie_policy)
-
-    order_of_label = {lab: code for code, lab in enumerate(sorted(labels))}
-    values = np.concatenate([s.values for s in series if s.n])
-    owners = np.concatenate(
-        [np.full(s.n, order_of_label[s.label], dtype=np.int64) for s in series if s.n]
-    )
-    key_order_parts, key_parts = [], []
-    for s in series:
-        if not s.n:
-            continue
-        if s.keys is None:
-            key_order_parts.append(np.arange(s.n, dtype=np.int64))
-            key_parts.append(list(range(s.n)))
-        else:
-            # rank of each key within the series, so ties sort by key ascending
-            ranks = np.empty(s.n, dtype=np.int64)
-            ranks[np.argsort(np.asarray(s.keys, dtype=object), kind="stable")] = np.arange(s.n)
-            key_order_parts.append(ranks)
-            key_parts.append(list(s.keys))
-    key_order = np.concatenate(key_order_parts)
-
-    world_order = np.lexsort((key_order, owners, -values))
-    values = values[world_order]
-    owners = owners[world_order]
-    keys = tuple(np.concatenate([np.asarray(p, dtype=object) for p in key_parts])[world_order])
-
-    if tie_policy == ORDINAL:
-        rank1 = np.arange(1, total + 1, dtype=np.int64)
-    else:
-        rank1 = _competition_ranks(values)
-
-    by_owner = np.argsort(owners, kind="stable")
-    sorted_owners = owners[by_owner]
-    positions = {}
-    for lab in labels:
-        code = order_of_label[lab]
-        lo = np.searchsorted(sorted_owners, code, side="left")
-        hi = np.searchsorted(sorted_owners, code, side="right")
-        pos = by_owner[lo:hi]
-        pos.flags.writeable = False
-        positions[lab] = pos
-
-    values.flags.writeable = False
-    owners.flags.writeable = False
-    rank1.flags.writeable = False
-    label_list = tuple(sorted(labels))
-    return WorldIndex(
-        values=values,
-        owners=owners,
-        keys=keys,
-        labels=label_list,
-        rank1=rank1,
-        tie_policy=tie_policy,
-        _positions=positions,
-    )
-
-
 class RankQuery:
-    """Top-k rank queries against a world held as one sorted value array.
+    """Rank queries against a world held as one sorted value array.
 
-    Answers the two questions a study asks of a world: the global ranks
-    of a unit's k locally best papers, and the value at a world rank.
-    Both equal what `build_world` gives under either tie policy, without
-    its full ordering: a query selects the unit's top k, then counts the
+    Answers the two questions the indicators ask of a world: the global
+    ranks of a unit's k locally best papers, and the value at a world
+    rank.  The world order is a total order independent of the input
+    series order: value descending, then label, then position within
+    the series.  Under the ordinal policy ranks are 1..W in that order;
+    under the competition policy tied values share their block's
+    smallest rank.  A query selects the unit's top k, then counts the
     world entries above each of them in the sorted values.
     """
 
     def __init__(self, series: list[CitationSeries], tie_policy: str = ORDINAL):
-        _check_world(series, tie_policy)
-        self.tie_policy = tie_policy
+        if tie_policy not in TIE_POLICIES:
+            raise ValueError(f"tie_policy must be one of {TIE_POLICIES}")
         self._series = {s.label: s for s in series}
-        ordered = sorted(series, key=lambda s: s.label)
-        self._codes = {s.label: code for code, s in enumerate(ordered)}
+        if len(self._series) != len(series):
+            seen, dups = set(), set()
+            for s in series:
+                (dups if s.label in seen else seen).add(s.label)
+            raise DuplicateLabelError(f"duplicate series labels: {sorted(dups)}")
+        if not any(s.n for s in series):
+            raise ValueError("cannot build a world from all-empty series")
+        self.tie_policy = tie_policy
+        self.labels = tuple(sorted(self._series))
+        self._codes = {label: code for code, label in enumerate(self.labels)}
+        ordered = [self._series[label] for label in self.labels]
         self._sizes = [s.n for s in ordered]
         self._values = np.concatenate([s.values for s in ordered])
         self._asc = np.sort(self._values)
@@ -237,24 +118,28 @@ class RankQuery:
             raise ValueError(f"rank {rank} outside 1..{self.size}")
         return float(self._asc[self.size - rank])
 
+    def unit_values(self, label: str) -> np.ndarray:
+        """The unit's values as given, read-only."""
+        try:
+            return self._series[label].values
+        except KeyError:
+            raise UnknownLabelError(label) from None
+
     def top_rank1s(self, label: str, k: int) -> np.ndarray:
         """Global ranks of the unit's k locally best papers, local order."""
         _check_k(k)
-        try:
-            unit = self._series[label]
-        except KeyError:
-            raise UnknownLabelError(label) from None
-        if unit.n < k:
-            raise InsufficientPapersError(f"unit {label} has {unit.n} papers, {k} required")
-        # The unit's k largest values, descending.  Keys need not be read:
-        # a unit's equal values hold consecutive world ranks, whichever
-        # member comes first.
-        values = np.sort(np.partition(unit.values, unit.n - k)[unit.n - k:])[::-1]
+        unit = self.unit_values(label)
+        n = unit.size
+        if n < k:
+            raise InsufficientPapersError(f"unit {label} has {n} papers, {k} required")
+        # The unit's k largest values, descending.  A unit's equal values
+        # hold consecutive world ranks, whichever member comes first.
+        values = np.sort(np.partition(unit, n - k)[n - k:])[::-1]
         left = np.searchsorted(self._asc, values, side="left")
         right = np.searchsorted(self._asc, values, side="right")
         rank1 = self.size - right + 1  # competition: 1 + entries strictly above
         if self.tie_policy == ORDINAL and np.any(right - left > 1):
-            # Equal values order by (label, key): count the equal entries of
+            # Equal values order by label: count the equal entries of
             # units whose label sorts first, then this unit's equal entries
             # that precede in local order (values run descending).
             labels = len(self._sizes)
@@ -276,29 +161,36 @@ class RankQuery:
         return runs * len(self._sizes) + codes
 
 
+def build_world(series: list[CitationSeries], tie_policy: str = ORDINAL) -> RankQuery:
+    """Aggregate series into one citation-descending world."""
+    return RankQuery(series, tie_policy=tie_policy)
+
+
 def _check_k(k: int) -> None:
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
 
 
-def dual_ranks(world: WorldIndex, label: str) -> list[RankPair]:
-    """All rank pairs of one unit, ordered by local rank.
-
-    rank2 is the paper's position among the unit's own papers in world
-    order (competition policy: the min rank of its local value block).
-    """
-    pos = world.positions(label)
-    if pos.size == 0:
+def _unit_ranks(world: RankQuery, label: str):
+    """A unit's values in local order (descending), with their rank1s and
+    rank2s.  rank2 is the paper's position among the unit's own papers
+    (competition policy: the min rank of its local value block)."""
+    values = np.sort(world.unit_values(label))[::-1]
+    if values.size == 0:
         raise UnknownLabelError(label)
-    rank1s = world.rank1[pos]
-    values = world.values[pos]
     if world.tie_policy == ORDINAL:
-        rank2s = np.arange(1, pos.size + 1, dtype=np.int64)
+        rank2s = np.arange(1, values.size + 1, dtype=np.int64)
     else:
         rank2s = _competition_ranks(values)
+    return values, world.top_rank1s(label, values.size), rank2s
+
+
+def dual_ranks(world: RankQuery, label: str) -> list[RankPair]:
+    """All rank pairs of one unit, ordered by (rank2, rank1)."""
+    values, rank1s, rank2s = _unit_ranks(world, label)
     return [
-        RankPair(rank1=int(r1), rank2=int(r2), value=float(v))
-        for r1, r2, v in zip(rank1s, rank2s, values)
+        RankPair(rank1=r1, rank2=r2, value=v)
+        for r1, r2, v in zip(rank1s.tolist(), rank2s.tolist(), values.tolist())
     ]
 
 
@@ -330,23 +222,15 @@ def ratio_index(top: TopKRanks) -> float:
     return geometric_mean([p.rank2 / p.rank1 for p in top.pairs])
 
 
-def rank_table_rows(world: WorldIndex, labels=None, top: int | None = None):
+def rank_table_rows(world: RankQuery, labels=None, top: int | None = None):
     """Rows for the rank-table export: label,rank2,rank1,value.
 
-    `top` keeps each unit's first n pairs; `dual_ranks` already orders
-    them by (rank2, rank1).
+    `top` keeps each unit's first n rows in (rank2, rank1) order.
     """
     if top is not None:
         _check_k(top)
     chosen = list(labels) if labels is not None else list(world.labels)
     for label in chosen:
-        pairs = dual_ranks(world, label)
-        for pair in pairs[:top]:
-            yield {"label": label, "rank2": pair.rank2, "rank1": pair.rank1, "value": pair.value}
-
-
-def write_rank_table(world: WorldIndex, fileobj, labels=None, top: int | None = None) -> None:
-    writer = csv.writer(fileobj, lineterminator="\n")
-    writer.writerow(["label", "rank2", "rank1", "value"])
-    for row in rank_table_rows(world, labels=labels, top=top):
-        writer.writerow([row["label"], row["rank2"], row["rank1"], repr(row["value"])])
+        values, rank1s, rank2s = (a[:top].tolist() for a in _unit_ranks(world, label))
+        for r2, r1, v in zip(rank2s, rank1s, values):
+            yield {"label": label, "rank2": r2, "rank1": r1, "value": v}

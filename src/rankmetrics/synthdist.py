@@ -70,15 +70,12 @@ class CitationSeries:
     """A labeled list of citation values.
 
     Synthetic values are strictly positive reals; real values are
-    non-negative integers.  `keys` are optional stable per-paper
-    identifiers (defaults to the position 0..n-1); they only matter for
-    deterministic tie-breaking when building a world index.
+    non-negative integers.
     """
 
     label: str
     values: np.ndarray
     origin: str = SYNTHETIC
-    keys: tuple | None = None
 
     def __post_init__(self):
         if not self.label:
@@ -98,13 +95,6 @@ class CitationSeries:
                 raise ValueError("real citation counts must be integers >= 0")
         values.flags.writeable = False
         self.values = values
-        if self.keys is not None:
-            keys = tuple(self.keys)
-            if len(keys) != values.size:
-                raise ValueError("keys must match values in length")
-            if len(set(keys)) != len(keys):
-                raise ValueError("keys must be unique within a series")
-            self.keys = keys
 
     @property
     def n(self) -> int:

@@ -1,7 +1,9 @@
 import json
 import math
 import os
+import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -59,7 +61,7 @@ def test_gen_outputs(tmp_path, small_cfg, capsys):
     assert len(specs) == 1 + 99
     values = read_lines(printed[1])
     assert len(values) == 1 + 33 * 1400
-    sidecar = json.loads(open(printed[2]).read())
+    sidecar = json.loads(Path(printed[2]).read_text())
     assert sidecar["total_papers"] == 46200
 
 
@@ -70,7 +72,7 @@ def test_gen_deterministic_bytes(tmp_path, small_cfg):
     names = sorted(os.listdir(out1))
     assert names == sorted(os.listdir(out2))
     for name in names:
-        assert open(out1 / name, "rb").read() == open(out2 / name, "rb").read()
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
 def test_rank_table_stdout(tmp_path, small_cfg, capsys):
@@ -153,7 +155,7 @@ def test_fig4_file_shape(tmp_path, capsys):
     assert os.path.basename(csv_path).startswith("fig4_")
     rows = read_lines(csv_path)
     assert len(rows) == 1 + 115
-    sidecar = json.loads(open(printed[1]).read())
+    sidecar = json.loads(Path(printed[1]).read_text())
     assert sidecar["experiment"] == "fig4"
     assert sidecar["row_count"] == 115
 
@@ -176,7 +178,7 @@ def test_assess_table(tmp_path, corpus_csv, capsys):
     rows = read_lines(printed[0])
     assert rows[0] == "country,split,p,p0,ptop10,ptop10_over_p,rk,rk_status"
     assert len(rows) == 1 + 4
-    sidecar = json.loads(open(printed[1]).read())
+    sidecar = json.loads(Path(printed[1]).read_text())
     assert sidecar["parameters"]["countries"] == ["USA", "CHN"]
     assert "input_sha256" in sidecar["parameters"]
 
@@ -191,6 +193,28 @@ def test_assess_bad_rows_exit_one(tmp_path, capsys):
     assert main(
         ["assess", "--input", str(path), "--countries", "USA", "--skip-bad-rows"]
     ) == 0
+
+
+def test_assess_countries_file(tmp_path, corpus_csv, capsys):
+    countries = tmp_path / "countries.txt"
+    countries.write_text("# countries to assess\nUSA\n\n   \n  # CHN is left out\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["assess", "--input", corpus_csv, "--countries-file", str(countries)])
+    assert code == 0
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(",")[:2] for line in lines[1:]] == [["USA", "domestic"], ["USA", "collaborative"]]
+
+
+def test_oversized_citation_count_is_row_error(tmp_path, capsys):
+    path = tmp_path / "big.csv"
+    path.write_text(f"id,year,citations,countries\np1,2015,5,USA\np2,2015,{'9' * 401},USA\n")
+    assert main(["assess", "--input", str(path), "--countries", "USA"]) == 1
+    assert "line 3: citation count above 2**53" in capsys.readouterr().err
+    argv = ["assess", "--input", str(path), "--countries", "USA", "--skip-bad-rows"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.splitlines()[1].startswith("USA,domestic,1,0,")
 
 
 @pytest.mark.parametrize(
@@ -235,6 +259,13 @@ def test_unknown_flag_is_usage_error(small_cfg):
     with pytest.raises(SystemExit) as exc:
         main(["gen", "--config", small_cfg, "--bogus"])
     assert exc.value.code == 2
+
+
+def test_gen_refuses_flags_it_would_ignore(small_cfg, tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["gen", "--config", small_cfg, "--format", "json", "--out", str(tmp_path / "g")])
+    assert exc.value.code == 2
+    assert not (tmp_path / "g").exists()
 
 
 def test_unknown_command_is_usage_error():

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -84,8 +85,8 @@ def test_top_ratio_outlier_in_most_seeds():
             EnsembleConfig(4.0, 2.0, 200, (800, 400, 200), seed=seed)
         )
         world = build_world(list(ensemble.series))
-        owner = world.labels[world.owners[0]]
-        ranks = world.rank1[world.positions(owner)][:2].astype(float)
+        owner = next(label for label in world.labels if world.top_rank1s(label, 1)[0] == 1)
+        ranks = world.top_rank1s(owner, 2).astype(float)
         first, second = 1.0 / ranks[0], 2.0 / ranks[1]
         hits += first >= 2 * second
     assert hits >= 6
@@ -254,9 +255,9 @@ def test_write_report_files(tmp_path, small_ensemble):
     paths = write_report(report, tmp_path)
     assert paths[0].endswith(f"tables1_{report.config_hash}.csv")
     assert paths[1].endswith(f"tables1_{report.config_hash}.json")
-    header = open(paths[0]).readline().strip()
+    header = Path(paths[0]).read_text().splitlines()[0]
     assert header == ",".join(report.columns)
-    sidecar = json.loads(open(paths[1]).read())
+    sidecar = json.loads(Path(paths[1]).read_text())
     assert sidecar["row_count"] == len(report.rows)
     assert sidecar["parameters"]["config"]["seed"] == SMALL_TRIPLE_GRID.seed
     assert "created" not in json.dumps(sidecar)  # no timestamps in outputs

@@ -51,6 +51,17 @@ def test_row_errors_collected_not_fatal(tmp_path):
     assert any("country" in e.message for e in result.errors)
 
 
+def test_citation_count_above_2_53_is_row_error(tmp_path):
+    # float64 holds every integer up to 2**53 exactly, so ranks stay exact
+    path = write_corpus(
+        tmp_path, f"p1,2015,{2**53},USA\np2,2015,{2**53 + 1},USA\np3,2015,{'9' * 400},USA\n"
+    )
+    result = load_corpus(path)
+    assert [r.citations for r in result.records] == [2**53]
+    message = "citation count above 2**53 (9007199254740992)"
+    assert [(e.line, e.message) for e in result.errors] == [(3, message), (4, message)]
+
+
 def test_country_deduplication(tmp_path):
     path = write_corpus(tmp_path, "p1,2015,4,USA;USA\n")
     result = load_corpus(path)
@@ -126,6 +137,12 @@ def test_world_ranks_tie_break_by_id():
     assert ranks == {"c": 1, "a": 2, "b": 3}
     with pytest.raises(EmptyCorpusError):
         corpus_world_ranks([])
+
+
+def test_world_ranks_reject_duplicate_ids():
+    records = [record("a", 5, ["USA"]), record("b", 3, ["CHN"]), record("a", 1, ["JPN"])]
+    with pytest.raises(ValueError, match="duplicate id 'a'"):
+        corpus_world_ranks(records)
 
 
 def test_single_country_corpus_reaches_max_rk():

@@ -1,4 +1,3 @@
-import io
 import math
 
 import numpy as np
@@ -6,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rankmetrics.experiments import csv_text
+from rankmetrics.indicators import empirical_ptop, percentile_cutoff
 from rankmetrics.rankcore import (
     COMPETITION,
     ORDINAL,
@@ -21,7 +22,6 @@ from rankmetrics.rankcore import (
     rank_table_rows,
     ratio_index,
     top_k,
-    write_rank_table,
 )
 from rankmetrics.synthdist import (
     REAL,
@@ -34,27 +34,31 @@ from rankmetrics.synthdist import (
 GM_FACTORIAL_10 = math.factorial(10) ** 0.1
 
 
-def series(label, values, origin=REAL, keys=None):
-    return CitationSeries(label, values, origin=origin, keys=keys)
+def series(label, values, origin=REAL):
+    return CitationSeries(label, values, origin=origin)
+
+
+def triples(world, label):
+    return [(p.rank1, p.rank2, p.value) for p in dual_ranks(world, label)]
 
 
 def test_single_series_order():
-    world = build_world([series("a", [5, 3, 1])])
+    world = build_world([series("a", [3, 5, 1])])
     assert world.size == 3
-    assert [e[0] for e in world.entries()] == [5.0, 3.0, 1.0]
-    pairs = dual_ranks(world, "a")
-    assert [(p.rank1, p.rank2) for p in pairs] == [(1, 1), (2, 2), (3, 3)]
+    assert [world.value_at_rank(r) for r in (1, 2, 3)] == [5.0, 3.0, 1.0]
+    assert triples(world, "a") == [(1, 1, 5.0), (2, 2, 3.0), (3, 3, 1.0)]
 
 
 def test_ordinal_tie_contract():
-    world = build_world([series("a", [2, 2]), series("b", [2])])
-    assert [(owner, key) for _, owner, key in world.entries()] == [("a", 0), ("a", 1), ("b", 0)]
-    assert list(world.rank1) == [1, 2, 3]
+    # equal values order by label: both of a's papers precede b's
+    world = build_world([series("b", [2]), series("a", [2, 2])])
+    assert triples(world, "a") == [(1, 1, 2.0), (2, 2, 2.0)]
+    assert triples(world, "b") == [(3, 1, 2.0)]
 
 
 def test_competition_tie_policy():
     world = build_world([series("a", [2, 2]), series("b", [2, 1])], tie_policy=COMPETITION)
-    assert list(world.rank1) == [1, 1, 1, 4]
+    assert [world.top_rank1s(label, 2).tolist() for label in ("a", "b")] == [[1, 1], [1, 4]]
     pairs_a = dual_ranks(world, "a")
     assert [(p.rank1, p.rank2) for p in pairs_a] == [(1, 1), (1, 1)]
     pairs_b = dual_ranks(world, "b")
@@ -91,9 +95,10 @@ def test_world_is_input_order_invariant(data, shuffle_seed):
     shuffled = list(parts)
     np.random.default_rng(shuffle_seed).shuffle(shuffled)
     one, two = build_world(parts), build_world(shuffled)
-    assert list(one.entries()) == list(two.entries())
-    total = sum(len(v) for v in data)
-    assert sum(one.positions(f"s{i}").size for i in range(len(data))) == total
+    assert one.labels == two.labels
+    assert [triples(one, p.label) for p in parts] == [triples(two, p.label) for p in parts]
+    ranks = sorted(r for p in parts for r, _, _ in triples(one, p.label))
+    assert ranks == list(range(1, sum(len(v) for v in data) + 1))
 
 
 def test_scale_leaves_ranks_unchanged():
@@ -194,8 +199,8 @@ def world600_rank_stats():
             EnsembleConfig(4.0, 2.0, 200, (800, 400, 200), seed=seed)
         )
         world = build_world(list(ensemble.series))
-        aa_top4.append(int(np.count_nonzero(world.rank1[world.positions("aa")][:4] < 280)))
-        un_top10.append(int(np.count_nonzero(world.rank1[world.positions("un")][:10] < 28000)))
+        aa_top4.append(int(np.count_nonzero(world.top_rank1s("aa", 4) < 280)))
+        un_top10.append(int(np.count_nonzero(world.top_rank1s("un", 10) < 28000)))
     return aa_top4, un_top10
 
 
@@ -215,14 +220,9 @@ def test_weakest_series_barely_reaches_top_decile(world600_rank_stats):
 
 
 def test_rank_table_export():
-    world = build_world([series("a", [5, 3]), series("b", [4])])
-    buf = io.StringIO()
-    write_rank_table(world, buf)
-    lines = buf.getvalue().splitlines()
-    assert lines[0] == "label,rank2,rank1,value"
-    assert lines[1] == "a,1,1,5.0"
-    assert lines[2] == "a,2,3,3.0"
-    assert lines[3] == "b,1,2,4.0"
+    world = build_world([series("b", [4]), series("a", [3, 5])])
+    text = csv_text(("label", "rank2", "rank1", "value"), list(rank_table_rows(world)))
+    assert text.splitlines() == ["label,rank2,rank1,value", "a,1,1,5.0", "a,2,3,3.0", "b,1,2,4.0"]
 
 
 @pytest.mark.parametrize("top", [0, -1])
@@ -234,8 +234,8 @@ def test_rank_table_rejects_top_below_one(top):
 
 @st.composite
 def worlds(draw):
-    """1-4 series under distinct labels, keyed or not, holding either
-    integer counts 0..5 (heavy ties) or lognormal-like floats."""
+    """1-4 series under distinct labels, holding either integer counts
+    0..5 (heavy ties) or lognormal-like floats."""
     labels = draw(st.lists(st.sampled_from("abcdef"), min_size=1, max_size=4, unique=True))
     parts = []
     for label in labels:
@@ -245,38 +245,70 @@ def worlds(draw):
         else:
             logs = draw(st.lists(st.floats(-3.0, 3.0), max_size=12))
             values, origin = np.exp(np.asarray(logs, dtype=np.float64)), SYNTHETIC
-        keys = None
-        if draw(st.booleans()):
-            keys = draw(st.permutations([f"m{i:02d}" for i in range(len(values))]))
-        parts.append(CitationSeries(label, values, origin=origin, keys=keys))
+        parts.append(CitationSeries(label, values, origin=origin))
     return parts
+
+
+def brute_force_ranks(parts, tie_policy):
+    """label -> [(rank1, rank2, value)] in local order.  The world is sorted
+    by (-value, label, member position) in Python; under the competition
+    policy a rank is 1 + the count of strictly greater values instead."""
+    world = sorted((-float(v), p.label, i) for p in parts for i, v in enumerate(p.values))
+    values = [-neg for neg, _, _ in world]
+    units = {p.label: [] for p in parts}
+    for pos, (value, (_, label, _)) in enumerate(zip(values, world), start=1):
+        rank1 = pos if tie_policy == ORDINAL else 1 + sum(v > value for v in values)
+        units[label].append((rank1, value))
+    ranks = {}
+    for label, entries in units.items():
+        local = [v for _, v in entries]
+        ranks[label] = [
+            (rank1, i if tie_policy == ORDINAL else 1 + sum(v > value for v in local), value)
+            for i, (rank1, value) in enumerate(entries, start=1)
+        ]
+    return ranks
 
 
 @given(parts=worlds(), tie_policy=st.sampled_from([ORDINAL, COMPETITION]))
 @settings(max_examples=400, deadline=None)
 def test_rank_query_matches_world_index(parts, tie_policy):
     if sum(p.n for p in parts) == 0:
-        for build in (build_world, RankQuery):
-            with pytest.raises(ValueError):
-                build(parts, tie_policy=tie_policy)
+        with pytest.raises(ValueError):
+            build_world(parts, tie_policy=tie_policy)
         return
     world = build_world(parts, tie_policy=tie_policy)
-    query = RankQuery(parts, tie_policy=tie_policy)
-    assert query.size == world.size
+    expected = brute_force_ranks(parts, tie_policy)
+    values = sorted((float(v) for p in parts for v in p.values), reverse=True)
+    assert world.size == len(values)
     for part in parts:
-        expected = world.rank1[world.positions(part.label)]
+        want = expected[part.label]
         for k in range(1, part.n + 1):
-            got = query.top_rank1s(part.label, k)
-            assert got.tolist() == expected[:k].tolist()
-        for oracle in (world, query):
-            with pytest.raises(InsufficientPapersError):
-                oracle.top_rank1s(part.label, part.n + 1)
+            assert world.top_rank1s(part.label, k).tolist() == [r1 for r1, _, _ in want[:k]]
+        with pytest.raises(InsufficientPapersError):
+            world.top_rank1s(part.label, part.n + 1)
+        if part.n:
+            assert triples(world, part.label) == want
+        else:
+            with pytest.raises(UnknownLabelError):
+                dual_ranks(world, part.label)
+    filled = sorted(p.label for p in parts if p.n)
+    for top in (None, 1, 3):
+        rows = rank_table_rows(world, labels=filled, top=top)
+        assert [(r["label"], r["rank1"], r["rank2"], r["value"]) for r in rows] == [
+            (label, *triple) for label in filled for triple in expected[label][:top]
+        ]
     # every rank, so every percentile_cutoff rank in particular
     for rank in range(1, world.size + 1):
-        assert query.value_at_rank(rank) == world.value_at_rank(rank)
+        assert world.value_at_rank(rank) == values[rank - 1]
+        x = 100 * rank / world.size
+        assert percentile_cutoff(x, world.size) == rank
+        for part in parts:
+            result = empirical_ptop(world, part.label, x)
+            assert result.value == sum(r1 <= rank for r1, _, _ in expected[part.label])
+            assert result.threshold == values[rank - 1]
     for rank in (0, world.size + 1):
         with pytest.raises(ValueError):
-            query.value_at_rank(rank)
+            world.value_at_rank(rank)
 
 
 def test_rank_query_rejects_what_build_world_rejects():
@@ -286,15 +318,14 @@ def test_rank_query_rejects_what_build_world_rejects():
         (ValueError, [series("a", [1])], "dense"),
     ]
     for error, parts, policy in cases:
-        for build in (build_world, RankQuery):
-            with pytest.raises(error):
-                build(parts, tie_policy=policy)
-    parts = [series("a", [3, 1]), series("b", [])]
-    for world in (build_world(parts), RankQuery(parts)):
-        with pytest.raises(UnknownLabelError):
-            world.top_rank1s("zz", 1)
-        with pytest.raises(InsufficientPapersError):
-            world.top_rank1s("b", 1)
-        for k in (0, -3):
-            with pytest.raises(ValueError, match="k must be >= 1"):
-                world.top_rank1s("a", k)
+        with pytest.raises(error):
+            build_world(parts, tie_policy=policy)
+    world = build_world([series("a", [3, 1]), series("b", [])])
+    assert isinstance(world, RankQuery)
+    with pytest.raises(UnknownLabelError):
+        world.top_rank1s("zz", 1)
+    with pytest.raises(InsufficientPapersError):
+        world.top_rank1s("b", 1)
+    for k in (0, -3):
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            world.top_rank1s("a", k)
