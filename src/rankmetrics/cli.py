@@ -166,7 +166,7 @@ def load_run_config(args) -> synthdist.EnsembleConfig:
     return config
 
 
-def load_corpus_or_fail(args) -> list[ingest.PaperRecord]:
+def load_corpus_or_fail(args) -> ingest.Corpus:
     if not args.input:
         raise DataError("--input is required for this command")
     meta = ingest.CorpusMeta.from_json(args.meta) if args.meta else None
@@ -321,19 +321,20 @@ def ptop_synthetic(args, xs) -> int:
 
 def make_experiment_handler(name: str):
     def handler(args) -> int:
+        if name == "fig4" and not args.config:
+            if args.seed is None:
+                raise DataError("fig4 needs --seed when using the built-in grid")
+            config = experiments.extended_grid(args.seed)
+        else:
+            config = load_run_config(args)
+        if not args.out:  # before sampling, which is most of a study's time
+            raise DataError(f"{name} requires --out")
         if name == "fig4":
-            if args.config:
-                config = load_run_config(args)
-            else:
-                if args.seed is None:
-                    raise DataError("fig4 needs --seed when using the built-in grid")
-                config = experiments.extended_grid(args.seed)
             report = experiments.run_fig4(
                 config, k=args.k, offset=args.offset, scale=args.scale,
                 tie_policy=args.tie_policy,
             )
         else:
-            config = load_run_config(args)
             ensemble = synthdist.generate_ensemble(config)
             if name == "tables1":
                 report = experiments.run_table_s1(
@@ -355,8 +356,6 @@ def make_experiment_handler(name: str):
                     ensemble, k=args.k, offset=args.offset, scale=args.scale,
                     tie_policy=args.tie_policy,
                 )
-        if not args.out:
-            raise DataError(f"{name} requires --out")
         for path in experiments.write_report(report, args.out, fmt=args.format):
             print(path)
         return 0
@@ -390,15 +389,19 @@ def corpus_parameters(args, **extra) -> dict:
 
 
 def cmd_assess(args) -> int:
-    records = load_corpus_or_fail(args)
     if args.countries:
         countries = [c.strip() for c in args.countries.split(",") if c.strip()]
+        source = "--countries"
     elif args.countries_file:
         with open(args.countries_file, encoding="utf-8") as handle:
             lines = [line.strip() for line in handle]
         countries = [line for line in lines if line and not line.startswith("#")]
+        source = args.countries_file
     else:
         raise DataError("assess needs --countries or --countries-file")
+    if not countries:
+        raise DataError(f"{source} names no country")
+    records = load_corpus_or_fail(args)
     rows = ingest.assess(
         records, countries, k=args.k, offset=args.offset,
         scale=args.scale, tie_policy=args.tie_policy,

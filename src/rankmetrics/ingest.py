@@ -3,10 +3,12 @@
 The corpus is a CSV export from any citation database: one row per
 paper with its citation count already aggregated over the intended
 citation window.  Window logic therefore lives in the sidecar metadata
-and is validated, not computed.  Assessment splits each country's
-papers into domestic (single-country affiliation) and internationally
-collaborative sets, ranks everything against the full-corpus world
-list, and bundles the indicators into one row per country and split.
+and is validated, not computed.  The loader parses the rows into
+columns (`Corpus`), with each paper's countries held as integer codes.
+Assessment ranks every paper once against the full-corpus world list,
+splits each country's papers into domestic (single-country affiliation)
+and internationally collaborative sets, and bundles the indicators into
+one row per country and split.
 """
 
 from __future__ import annotations
@@ -14,9 +16,11 @@ from __future__ import annotations
 import csv
 import json
 import warnings
-from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
+
+import numpy as np
 
 from .indicators import DEFAULT_K, DEFAULT_OFFSET, DEFAULT_SCALE, RkResult, percentile_cutoff, rk_from_rank1s
 from .rankcore import ORDINAL, build_world
@@ -77,12 +81,26 @@ class CorpusMeta:
 
     @classmethod
     def from_json(cls, path) -> "CorpusMeta":
+        """Read a sidecar; a window is a JSON list of two integer years,
+        first <= last, and anything else is a `CorpusFormatError`."""
         data = json.loads(Path(path).read_text())
+        if not isinstance(data, dict):
+            raise CorpusFormatError(f"{path}: metadata must be a JSON object, got {type(data).__name__}")
+
         def window(key):
-            if key not in data or data[key] is None:
+            value = data.get(key)
+            if value is None:
                 return None
-            y1, y2 = data[key]
-            return (int(y1), int(y2))
+            if not (
+                isinstance(value, list) and len(value) == 2
+                and all(type(year) is int for year in value) and value[0] <= value[1]
+            ):
+                raise CorpusFormatError(
+                    f"{path}: {key} must be [first, last] integer years with first <= last, "
+                    f"got {json.dumps(value)}"
+                )
+            return (value[0], value[1])
+
         meta = cls(
             field=data.get("field", ""),
             pub_window=window("pub_window"),
@@ -91,6 +109,105 @@ class CorpusMeta:
         )
         meta.validate()
         return meta
+
+
+@dataclass(frozen=True, eq=False)
+class Corpus(Sequence):
+    """A corpus held as columns, one entry per paper, in file order.
+
+    Paper i's countries are the codes `indices[indptr[i]:indptr[i + 1]]`
+    (compressed sparse rows) in the order its row first lists them, and
+    `countries[code]` names a code.  Ids are unique, and a paper lists a
+    country at most once.  As a sequence the corpus yields `PaperRecord`s,
+    built on demand.
+    """
+
+    ids: list[str]
+    years: list[int]
+    citations: np.ndarray  # int64
+    fields: list[str | None]
+    countries: tuple[str, ...]
+    indptr: np.ndarray
+    indices: np.ndarray
+
+    @classmethod
+    def from_records(cls, records) -> "Corpus":
+        """Columns of any sequence of `PaperRecord`s; a corpus is returned as is."""
+        if isinstance(records, Corpus):
+            return records
+        ids = [r.id for r in records]
+        if len(set(ids)) < len(ids):
+            ordered = sorted(ids)
+            duplicate = next(a for a, b in zip(ordered, ordered[1:]) if a == b)
+            raise ValueError(f"duplicate id {duplicate!r}")
+        code_of, indptr, indices = {}, [0], []
+        for r in records:
+            # a record naming a country twice names it once, as a file row does
+            for code in dict.fromkeys(r.countries):
+                indices.append(code_of.setdefault(code, len(code_of)))
+            indptr.append(len(indices))
+        return cls(
+            ids=ids,
+            years=[r.year for r in records],
+            citations=np.array([r.citations for r in records], dtype=np.int64),
+            fields=[r.field for r in records],
+            countries=tuple(code_of),
+            indptr=np.array(indptr, dtype=np.int64),
+            indices=np.array(indices, dtype=np.int64),
+        )
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self))[i]]
+        i = range(len(self))[i]
+        codes = self.indices[self.indptr[i]:self.indptr[i + 1]].tolist()
+        return PaperRecord(
+            id=self.ids[i], year=self.years[i], citations=int(self.citations[i]),
+            countries=tuple(self.countries[c] for c in codes), field=self.fields[i],
+        )
+
+    def __iter__(self):
+        codes = [self.countries[c] for c in self.indices.tolist()]
+        bounds = self.indptr.tolist()
+        columns = zip(self.ids, self.years, self.citations.tolist(), self.fields)
+        for i, (paper_id, year, citations, field_tag) in enumerate(columns):
+            countries = tuple(codes[bounds[i]:bounds[i + 1]])
+            yield PaperRecord(paper_id, year, citations, countries, field_tag)
+
+    def world_ranks(self, tie_policy: str = ORDINAL) -> np.ndarray:
+        """Each paper's world rank, in row order.
+
+        Papers rank by citations descending; under the ordinal policy ties
+        are broken by id, so ranks do not depend on file row order or on
+        how other papers are labeled.
+        """
+        n = len(self)
+        if not n:
+            raise EmptyCorpusError("corpus holds no records")
+        id_order = np.empty(n, dtype=np.int64)
+        id_order[sorted(range(n), key=self.ids.__getitem__)] = np.arange(n)
+        order = np.lexsort((id_order, -self.citations))
+        series = CitationSeries("corpus", self.citations[order], origin=REAL)
+        ranks = np.empty(n, dtype=np.int64)
+        ranks[order] = build_world([series], tie_policy=tie_policy).top_rank1s("corpus", n)
+        return ranks
+
+    def incidence(self) -> tuple[np.ndarray, np.ndarray]:
+        """For each entry of `indices`: its paper, and whether that paper
+        is collaborative (its row lists more than one country)."""
+        degree = np.diff(self.indptr)
+        paper = np.repeat(np.arange(len(self)), degree)
+        return paper, degree[paper] > 1
+
+    def code(self, country: str) -> int:
+        """The integer code of `country`; no paper lists an unknown one."""
+        try:
+            return self.countries.index(country)
+        except ValueError:
+            raise UnknownCountryError(country) from None
 
 
 @dataclass
@@ -104,7 +221,7 @@ class RowError:
 
 @dataclass
 class CorpusLoadResult:
-    records: list[PaperRecord]
+    records: Corpus
     errors: list[RowError]
 
 
@@ -122,8 +239,8 @@ class AssessmentRow:
     """Indicator bundle for one country and split: paper count, uncited
     count, top-10% count and share, and the rank index (or an explicit
     insufficient-papers marker for units below k papers).  `ranks` are
-    the world ranks of the unit's papers, ascending, from which every
-    indicator of the unit is read."""
+    the world ranks of the unit's papers, an ascending int64 array from
+    which every indicator of the unit is read; rows compare without it."""
 
     country: str
     split: str
@@ -133,19 +250,20 @@ class AssessmentRow:
     ptop10_over_p: float | None
     rk: RkResult | None
     rk_status: str
-    ranks: tuple[int, ...] = field(repr=False)
+    ranks: np.ndarray = field(repr=False, compare=False)
 
 
-def _parse_row(row: list[str], line: int, has_field: bool, meta: CorpusMeta | None):
-    expected = 5 if has_field else 4
-    if len(row) != expected:
-        raise ValueError(f"expected {expected} columns, got {len(row)}")
+def _parse_row(row: list[str], columns: int, window: tuple[int, int] | None):
+    """(id, year, citations, country codes) of one row; ValueError names
+    the first defect."""
+    if len(row) != columns:
+        raise ValueError(f"expected {columns} columns, got {len(row)}")
     paper_id = row[0].strip()
     if not paper_id:
         raise ValueError("empty id")
     year = int(row[1])
-    if meta is not None and meta.pub_window is not None:
-        lo, hi = meta.pub_window
+    if window is not None:
+        lo, hi = window
         if not lo <= year <= hi:
             raise ValueError(f"year {year} outside publication window {lo}-{hi}")
     citations = int(row[2])
@@ -161,11 +279,7 @@ def _parse_row(row: list[str], line: int, has_field: bool, meta: CorpusMeta | No
             countries.append(code)
     if not countries:
         raise ValueError("empty country list")
-    field_tag = row[4].strip() if has_field else None
-    return PaperRecord(
-        id=paper_id, year=year, citations=citations,
-        countries=tuple(countries), field=field_tag or None,
-    )
+    return paper_id, year, citations, countries
 
 
 def load_corpus(path, meta: CorpusMeta | None = None) -> CorpusLoadResult:
@@ -184,7 +298,6 @@ def load_corpus(path, meta: CorpusMeta | None = None) -> CorpusLoadResult:
 
 
 def _read_corpus(reader, path, meta: CorpusMeta | None) -> CorpusLoadResult:
-    records, errors, seen = [], [], set()
     try:
         header = next(reader)
     except StopIteration:
@@ -197,18 +310,34 @@ def _read_corpus(reader, path, meta: CorpusMeta | None) -> CorpusLoadResult:
             f"{path}: header must be id,year,citations,countries[,field], got {header}"
         )
     has_field = len(header) == 5
+    columns = len(header)
+    window = meta.pub_window if meta is not None else None
+    ids, years, citations, fields, indptr, indices = [], [], [], [], [0], []
+    errors, seen, code_of = [], set(), {}
     for line, row in enumerate(reader, start=2):
         if not row:
             continue
         try:
-            record = _parse_row(row, line, has_field, meta)
-            if record.id in seen:
-                raise ValueError(f"duplicate id {record.id!r}")
-            seen.add(record.id)
-            records.append(record)
+            paper_id, year, count, countries = _parse_row(row, columns, window)
+            if paper_id in seen:
+                raise ValueError(f"duplicate id {paper_id!r}")
         except ValueError as exc:
             errors.append(RowError(line=line, message=str(exc)))
-    return CorpusLoadResult(records=records, errors=errors)
+            continue
+        seen.add(paper_id)
+        ids.append(paper_id)
+        years.append(year)
+        citations.append(count)
+        fields.append((row[4].strip() or None) if has_field else None)
+        for code in countries:
+            indices.append(code_of.setdefault(code, len(code_of)))
+        indptr.append(len(indices))
+    corpus = Corpus(
+        ids=ids, years=years, citations=np.array(citations, dtype=np.int64), fields=fields,
+        countries=tuple(code_of), indptr=np.array(indptr, dtype=np.int64),
+        indices=np.array(indices, dtype=np.int64),
+    )
+    return CorpusLoadResult(records=corpus, errors=errors)
 
 
 def _not_utf8(path, exc: UnicodeDecodeError) -> CorpusFormatError:
@@ -223,46 +352,31 @@ def _not_utf8(path, exc: UnicodeDecodeError) -> CorpusFormatError:
     return CorpusFormatError(f"{path}: line {line} is not valid UTF-8 ({exc.reason})")
 
 
-def split_country(records: list[PaperRecord], country: str) -> CountrySplit:
+def split_country(records: Sequence[PaperRecord], country: str) -> CountrySplit:
     """Partition a country's papers: single-affiliation vs multinational.
 
     Papers not mentioning the country belong to neither list.
     """
-    domestic, collaborative = [], []
-    for record in records:
-        if country not in record.countries:
-            continue
-        if len(record.countries) == 1:
-            domestic.append(record.id)
-        else:
-            collaborative.append(record.id)
-    if not domestic and not collaborative:
-        raise UnknownCountryError(country)
+    corpus = Corpus.from_records(records)
+    paper, collaborative = corpus.incidence()
+    mine = corpus.indices == corpus.code(country)
+    papers, collaborative = paper[mine], collaborative[mine]
+    ids = corpus.ids
     return CountrySplit(
-        country=country, domestic=tuple(domestic), collaborative=tuple(collaborative)
+        country=country,
+        domestic=tuple(ids[i] for i in papers[~collaborative].tolist()),
+        collaborative=tuple(ids[i] for i in papers[collaborative].tolist()),
     )
 
 
-def corpus_world_ranks(records: list[PaperRecord], tie_policy: str = ORDINAL) -> dict[str, int]:
-    """Global rank per paper id over the whole corpus.
-
-    Ties are broken by id under the ordinal policy, so ranks do not
-    depend on file row order or on how other papers are labeled.
-    """
-    if not records:
-        raise EmptyCorpusError("corpus holds no records")
-    ordered = sorted(records, key=lambda r: r.id)
-    for a, b in zip(ordered, ordered[1:]):
-        if a.id == b.id:
-            raise ValueError(f"duplicate id {a.id!r}")
-    ordered.sort(key=lambda r: -r.citations)  # stable: equal counts stay in id order
-    series = CitationSeries("corpus", [r.citations for r in ordered], origin=REAL)
-    ranks = build_world([series], tie_policy=tie_policy).top_rank1s("corpus", len(ordered))
-    return dict(zip((r.id for r in ordered), map(int, ranks)))
+def corpus_world_ranks(records: Sequence[PaperRecord], tie_policy: str = ORDINAL) -> dict[str, int]:
+    """Global rank per paper id over the whole corpus (`Corpus.world_ranks`)."""
+    corpus = Corpus.from_records(records)
+    return dict(zip(corpus.ids, corpus.world_ranks(tie_policy).tolist()))
 
 
 def assess(
-    records: list[PaperRecord],
+    records: Sequence[PaperRecord],
     countries: list[str],
     k: int = DEFAULT_K,
     offset: float = DEFAULT_OFFSET,
@@ -274,19 +388,28 @@ def assess(
     The world includes every paper regardless of split, so a country's
     domestic ranks still compete with everyone's collaborative papers.
     """
-    rank_of = corpus_world_ranks(records, tie_policy=tie_policy)
+    corpus = Corpus.from_records(records)
+    world_size = len(corpus)
+    ranks = corpus.world_ranks(tie_policy)
+    # One sorted key per (country, split, paper): the unit 2 * code +
+    # collaborative, then the paper's rank, so each unit's ranks are one
+    # ascending slice.
+    paper, collaborative = corpus.incidence()
+    stride = world_size + 1
+    keys = np.sort((2 * corpus.indices + collaborative) * stride + ranks[paper])
     # Under both tie policies a cited paper holds a world rank <= cited
     # and an uncited one a rank > cited, so p0 counts ranks > cited.
-    cited = sum(1 for r in records if r.citations > 0)
+    cited = int(np.count_nonzero(corpus.citations))
     rows = []
     for country in countries:
-        split = split_country(records, country)
-        for kind, ids in ((DOMESTIC, split.domestic), (COLLABORATIVE, split.collaborative)):
-            ranks = tuple(sorted(rank_of[i] for i in ids))
-            p = len(ranks)
-            ptop10 = top_count(ranks, 10.0, len(records))
+        code = corpus.code(country)
+        for unit, kind in enumerate((DOMESTIC, COLLABORATIVE), start=2 * code):
+            lo, hi = np.searchsorted(keys, [unit * stride, (unit + 1) * stride]).tolist()
+            unit_ranks = keys[lo:hi] - unit * stride
+            p = hi - lo
+            ptop10 = top_count(unit_ranks, 10.0, world_size)
             if p >= k:
-                rank1s = ranks[:k]
+                rank1s = tuple(unit_ranks[:k].tolist())
                 rk = RkResult(
                     label=f"{country}:{kind}",
                     rk=rk_from_rank1s(rank1s, offset=offset, scale=scale),
@@ -300,20 +423,20 @@ def assess(
                     country=country,
                     split=kind,
                     p=p,
-                    p0=p - bisect_right(ranks, cited),
+                    p0=p - int(np.searchsorted(unit_ranks, cited, side="right")),
                     ptop10=ptop10,
                     ptop10_over_p=(ptop10 / p) if p else None,
                     rk=rk,
                     rk_status=status,
-                    ranks=ranks,
+                    ranks=unit_ranks,
                 )
             )
     return rows
 
 
-def top_count(ranks: tuple[int, ...], x: float, world_size: int) -> int:
+def top_count(ranks: np.ndarray, x: float, world_size: int) -> int:
     """Papers among ascending world `ranks` that hold a top-x% world rank."""
-    return bisect_right(ranks, percentile_cutoff(x, world_size))
+    return int(np.searchsorted(ranks, percentile_cutoff(x, world_size), side="right"))
 
 
 ASSESSMENT_COLUMNS = ("country", "split", "p", "p0", "ptop10", "ptop10_over_p", "rk", "rk_status")

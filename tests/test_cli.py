@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from rankmetrics import experiments, synthdist
 from rankmetrics.cli import main
 from rankmetrics.ingest import corpus_world_ranks, load_corpus
 
@@ -205,6 +206,55 @@ def test_assess_countries_file(tmp_path, corpus_csv, capsys):
     assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
     lines = capsys.readouterr().out.splitlines()
     assert [line.split(",")[:2] for line in lines[1:]] == [["USA", "domestic"], ["USA", "collaborative"]]
+
+
+@pytest.mark.parametrize(
+    "argv, source",
+    [(["--countries", ",", "--out", "out"], "--countries"),
+     (["--countries-file", "empty.txt"], "empty.txt")],
+    ids=["countries", "countries-file"],
+)
+def test_assess_without_countries_is_data_error(tmp_path, corpus_csv, capsys, argv, source):
+    (tmp_path / "empty.txt").write_text("# nothing to assess\n\n")
+    argv = [str(tmp_path / a) if a in ("out", "empty.txt") else a for a in argv]
+    assert main(["assess", "--input", corpus_csv, *argv]) == 1
+    captured = capsys.readouterr()
+    source = str(tmp_path / source) if source == "empty.txt" else source
+    assert captured.err == f"error: {source} names no country\n"
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "meta, bad",
+    [
+        ('{"pub_window": [2014]}', "pub_window must be [first, last] integer years"),
+        ("[1, 2]", "metadata must be a JSON object, got list"),
+        ('{"pub_window": ["a", "b"]}', "pub_window must be [first, last] integer years"),
+        ('{"cit_window": [2022, 2019]}', "cit_window must be [first, last] integer years"),
+    ],
+    ids=["short-window", "not-an-object", "non-integer-years", "reversed-window"],
+)
+def test_malformed_meta_is_data_error(tmp_path, corpus_csv, capsys, meta, bad):
+    path = tmp_path / "meta.json"
+    path.write_text(meta)
+    argv = ["rk", "--input", corpus_csv, "--meta", str(path), "--country", "USA", "--split", "domestic"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {path}: {bad}")
+    assert captured.out == ""
+
+
+def test_study_commands_check_out_before_sampling(small_cfg, capsys, monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the study ran before --out was checked")
+
+    monkeypatch.setattr(experiments, "run_fig4", unreachable)
+    monkeypatch.setattr(synthdist, "generate_ensemble", unreachable)
+    for argv in (["fig4", "--seed", "1"], *([name, "--config", small_cfg]
+                                            for name in ("tables1", "fig1", "fig2", "fig3"))):
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {argv[0]} requires --out\n"
 
 
 def test_oversized_citation_count_is_row_error(tmp_path, capsys):

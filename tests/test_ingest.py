@@ -1,14 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rankmetrics.indicators import percentile_cutoff
+from rankmetrics.indicators import RkResult, percentile_cutoff, rk_from_rank1s
 from rankmetrics.ingest import (
     COLLABORATIVE,
     DOMESTIC,
+    MAX_CITATIONS,
     RK_INSUFFICIENT,
     RK_OK,
+    AssessmentRow,
+    Corpus,
     CorpusFormatError,
     CorpusMeta,
+    CountrySplit,
     EmptyCorpusError,
     PaperRecord,
     UnknownCountryError,
@@ -248,3 +254,159 @@ def test_invalid_utf8_is_format_error(tmp_path):
     path.write_bytes((HEADER + "p1,2015,12,USA\n").encode() + b"p\xe9,2015,3,FRA\n")
     with pytest.raises(CorpusFormatError, match=r"latin1\.csv: line 3 is not valid UTF-8"):
         load_corpus(path)
+
+
+# A slow per-row oracle for the loader and `assess`: each row is split on
+# commas and checked field by field in the order the loader reports
+# defects; world ranks come from a brute-force sort by (-citations, id).
+
+
+def oracle_load(lines, has_field, window):
+    records, errors, seen = [], [], set()
+    for line, text in enumerate(lines, start=2):
+        if not text:
+            continue
+        row = text.split(",")
+        try:
+            record = oracle_parse_row(row, has_field, window)
+            if record.id in seen:
+                raise ValueError(f"duplicate id {record.id!r}")
+        except ValueError as exc:
+            errors.append((line, str(exc)))
+            continue
+        seen.add(record.id)
+        records.append(record)
+    return records, errors
+
+
+def oracle_parse_row(row, has_field, window):
+    expected = 5 if has_field else 4
+    if len(row) != expected:
+        raise ValueError(f"expected {expected} columns, got {len(row)}")
+    paper_id = row[0].strip()
+    if not paper_id:
+        raise ValueError("empty id")
+    year = int(row[1])
+    if window is not None and not window[0] <= year <= window[1]:
+        raise ValueError(f"year {year} outside publication window {window[0]}-{window[1]}")
+    citations = int(row[2])
+    if citations < 0:
+        raise ValueError(f"negative citation count {citations}")
+    if citations > MAX_CITATIONS:
+        raise ValueError(f"citation count above 2**53 ({MAX_CITATIONS})")
+    countries = []
+    for code in row[3].split(";"):
+        if code.strip() and code.strip() not in countries:
+            countries.append(code.strip())
+    if not countries:
+        raise ValueError("empty country list")
+    field_tag = row[4].strip() if has_field else None
+    return PaperRecord(paper_id, year, citations, tuple(countries), field_tag or None)
+
+
+def oracle_ranks(records, tie_policy):
+    if tie_policy == "ordinal":
+        ordered = sorted(records, key=lambda r: (-r.citations, r.id))
+        return {r.id: i + 1 for i, r in enumerate(ordered)}
+    return {r.id: 1 + sum(o.citations > r.citations for o in records) for r in records}
+
+
+def oracle_assess(records, countries, k, offset, scale, tie_policy):
+    rank_of = oracle_ranks(records, tie_policy)
+    rows = []
+    for country in countries:
+        for split in (DOMESTIC, COLLABORATIVE):
+            members = [r for r in records
+                       if country in r.countries and (len(r.countries) == 1) == (split == DOMESTIC)]
+            ranks = sorted(rank_of[r.id] for r in members)
+            p = len(ranks)
+            ptop10 = sum(1 for rank in ranks if rank <= len(records) // 10)
+            rk = None
+            if p >= k:
+                rk = RkResult(
+                    label=f"{country}:{split}", rk=rk_from_rank1s(ranks[:k], offset=offset, scale=scale),
+                    k=k, offset=offset, scale=scale, rank1s=tuple(ranks[:k]),
+                )
+            rows.append((AssessmentRow(
+                country=country, split=split, p=p, p0=sum(r.citations == 0 for r in members),
+                ptop10=ptop10, ptop10_over_p=ptop10 / p if p else None, rk=rk,
+                rk_status=RK_INSUFFICIENT if rk is None else RK_OK, ranks=None,
+            ), ranks))
+    return rows
+
+
+ROW_IDS = st.one_of(st.integers(0, 40).map("p{}".format), st.sampled_from([" p1 ", "", "  "]))
+ROW_YEARS = ["2015", "2016", " 2014", "2017", "20_16", "2013", "2018", "x", ""]
+ROW_CITATIONS = ["0", "1", "1", "2", "2", "3", " 4", "-1", "1.5", "", str(2**53), str(2**53 + 1)]
+ROW_CODES = ["USA", "USA", "CHN", "JPN", " FRA ", ""]
+
+
+@st.composite
+def corpus_rows(draw):
+    """Corpus lines mixing valid rows with every malformed cause, repeated
+    and padded ids, repeated or blank country codes and integer ties."""
+    has_field = draw(st.booleans())
+    lines = []
+    for _ in range(draw(st.integers(0, 40))):
+        row = [draw(ROW_IDS), draw(st.sampled_from(ROW_YEARS)),
+               draw(st.sampled_from(ROW_CITATIONS)),
+               ";".join(draw(st.lists(st.sampled_from(ROW_CODES), min_size=1, max_size=3)))]
+        if has_field:
+            row.append(draw(st.sampled_from(["", "bio", " chem "])))
+        row = row[:draw(st.sampled_from([len(row)] * 10 + [len(row) - 1]))]
+        row += [""] * draw(st.sampled_from([0] * 10 + [1]))
+        lines.append("" if draw(st.integers(0, 15)) == 0 else ",".join(row))
+    return has_field, lines
+
+
+@given(
+    rows=corpus_rows(),
+    window=st.sampled_from([None, (2014, 2017)]),
+    k=st.integers(1, 3),
+    offset=st.sampled_from([0.0, 20.0]),
+    scale=st.sampled_from([1.0, 1000.0]),
+)
+@settings(max_examples=200, deadline=None)
+def test_loader_and_assess_match_per_row_oracle(tmp_path_factory, rows, window, k, offset, scale):
+    has_field, lines = rows
+    path = tmp_path_factory.getbasetemp() / "fuzz.csv"
+    header = "id,year,citations,countries" + (",field" if has_field else "")
+    path.write_text("\n".join([header, *lines]) + "\n")
+    meta = None if window is None else CorpusMeta(pub_window=window)
+    loaded = load_corpus(path, meta)
+    records, errors = oracle_load(lines, has_field, window)
+    assert list(loaded.records) == records
+    assert [loaded.records[i] for i in range(len(records))] == records
+    assert [(e.line, e.message) for e in loaded.errors] == errors
+    if not records:
+        with pytest.raises(EmptyCorpusError):
+            assess(loaded.records, ["USA"])
+        return
+    countries = sorted({c for r in records for c in r.countries})
+    for country in countries:
+        mine = [r for r in records if country in r.countries]
+        assert split_country(loaded.records, country) == CountrySplit(
+            country,
+            domestic=tuple(r.id for r in mine if len(r.countries) == 1),
+            collaborative=tuple(r.id for r in mine if len(r.countries) > 1),
+        )
+    for tie_policy in ("ordinal", "competition"):
+        assert corpus_world_ranks(loaded.records, tie_policy) == oracle_ranks(records, tie_policy)
+        got = assess(loaded.records, countries, k=k, offset=offset, scale=scale, tie_policy=tie_policy)
+        expected = oracle_assess(records, countries, k, offset, scale, tie_policy)
+        assert got == [row for row, _ in expected]
+        assert [row.ranks.tolist() for row in got] == [ranks for _, ranks in expected]
+        assert got == assess(records, countries, k=k, offset=offset, scale=scale, tie_policy=tie_policy)
+    with pytest.raises(UnknownCountryError):
+        assess(loaded.records, ["ZZZ"])
+
+
+def test_corpus_from_records_round_trips():
+    records = [record("b", 5, ["USA", "CHN"], year=2014), record("a", 0, ["JPN"], year=2016)]
+    corpus = Corpus.from_records(records)
+    assert list(corpus) == records
+    assert (corpus[-1], corpus[0:1], len(corpus)) == (records[1], records[:1], 2)
+    assert corpus.citations.dtype == np.int64
+    assert Corpus.from_records(corpus) is corpus
+    with pytest.raises(IndexError):
+        corpus[2]
