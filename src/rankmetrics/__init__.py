@@ -8,6 +8,7 @@ citation-record files.
 
 __version__ = "0.1.0"
 
+from .errors import DataError
 from .indicators import (
     PercentileResult,
     RkResult,
@@ -47,6 +48,7 @@ from .synthdist import (
 
 __all__ = [
     "__version__",
+    "DataError",
     "CitationSeries",
     "Ensemble",
     "EnsembleConfig",

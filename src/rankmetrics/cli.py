@@ -18,14 +18,11 @@ import os
 import sys
 
 from . import __version__, experiments, indicators, ingest, rankcore, synthdist
+from .errors import DataError, read_text
 from .experiments import atomic_write_text, config_hash
 from .rankcore import TIE_POLICIES
 
 DEFAULT_X = (10.0, 1.0, 0.5, 0.1, 0.01)
-
-
-class DataError(Exception):
-    """User-facing data problem: report on stderr and exit 1."""
 
 
 def main(argv=None) -> int:
@@ -34,21 +31,7 @@ def main(argv=None) -> int:
     try:
         check_flags(args)
         return args.handler(args)
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (
-        synthdist.ConfigError,
-        synthdist.GridError,
-        experiments.SelectionError,
-        ingest.CorpusFormatError,
-        ingest.EmptyCorpusError,
-        ingest.UnknownCountryError,
-        rankcore.InsufficientPapersError,
-        rankcore.UnknownLabelError,
-        json.JSONDecodeError,
-        OSError,
-    ) as exc:
+    except (DataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
@@ -141,11 +124,13 @@ def check_flags(args) -> None:
     """Refuse flags that have no meaning: the index needs at least one
     paper (--k), a finite offset >= 0 and scale > 0; a rank table at
     least one row per unit (--top); a sample table at least one series
-    (--sample-size)."""
+    (--sample-size); a label list at least one label (--labels)."""
     for name in ("k", "top", "sample_size"):
         value = getattr(args, name, None)
         if value is not None and value < 1:
             raise DataError(f"--{name.replace('_', '-')} must be >= 1, got {value}")
+    if getattr(args, "labels", None) and not args.labels.replace(",", "").strip():
+        raise DataError("--labels names no label")
     if not hasattr(args, "k"):
         return
     if not (math.isfinite(args.offset) and args.offset >= 0):
@@ -297,20 +282,15 @@ def ptop_synthetic(args, xs) -> int:
     config = load_run_config(args)
     ensemble = synthdist.generate_ensemble(config)
     world = rankcore.build_world(list(ensemble.series), tie_policy=args.tie_policy)
-    if args.labels:
-        labels = args.labels.split(",")
-    else:
-        labels = experiments.select_99(ensemble)
+    labels = args.labels.split(",") if args.labels else experiments.select_99(ensemble)
     rows = []
     for label in labels:
-        spec = ensemble.spec_by_label.get(label)
-        if spec is None:
-            raise DataError(f"unknown series label {label!r}")
+        ranks = experiments.top_rank1s(world, label, args.k)  # refuses an unknown label
+        spec = ensemble.spec_by_label[label]
         row = {"label": label, "mu": spec.mu, "n": spec.n}
         for x in xs:
             result = indicators.analytic_ptop(spec, world, x)
             row[f"ptop_{x:g}"] = result.value
-        ranks = experiments.top_rank1s(world, label, args.k)
         row["rk"] = indicators.rk_from_rank1s(ranks, offset=args.offset, scale=args.scale)
         rows.append(row)
     columns = ["label", "mu", "n"] + [f"ptop_{x:g}" for x in xs] + ["rk"]
@@ -393,8 +373,7 @@ def cmd_assess(args) -> int:
         countries = [c.strip() for c in args.countries.split(",") if c.strip()]
         source = "--countries"
     elif args.countries_file:
-        with open(args.countries_file, encoding="utf-8") as handle:
-            lines = [line.strip() for line in handle]
+        lines = [line.strip() for line in read_text(args.countries_file).splitlines()]
         countries = [line for line in lines if line and not line.startswith("#")]
         source = args.countries_file
     else:

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
+from .errors import DataError
 from .indicators import analytic_ptop, rk_from_rank1s
 from .rankcore import ORDINAL, RankQuery, build_world, geometric_mean
 from .synthdist import Ensemble, EnsembleConfig, generate_ensemble
@@ -26,7 +27,7 @@ EQUIV_RANGE_01 = (0.5, 39.5)
 EQUIV_RANGE_001 = (1.0, 39.5)
 
 
-class SelectionError(ValueError):
+class SelectionError(DataError):
     """The ensemble grid does not support the requested selection."""
 
 

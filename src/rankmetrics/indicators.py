@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import DataError
 from .rankcore import RankQuery, TopKRanks
 from .synthdist import REAL, CitationSeries, LognormalSpec
 
@@ -26,11 +27,11 @@ EMPIRICAL = "empirical"
 ANALYTIC = "analytic"
 
 
-class PercentileCutoffError(ValueError):
+class PercentileCutoffError(DataError):
     """The requested top-x% slice of this world is empty."""
 
 
-class OriginError(ValueError):
+class OriginError(DataError):
     """Operation undefined for this series origin."""
 
 

@@ -18,10 +18,10 @@ import json
 import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
+from .errors import DataError, not_utf8, read_text
 from .indicators import DEFAULT_K, DEFAULT_OFFSET, DEFAULT_SCALE, RkResult, percentile_cutoff, rk_from_rank1s
 from .rankcore import ORDINAL, build_world
 from .synthdist import REAL, CitationSeries
@@ -37,16 +37,16 @@ RK_OK = "ok"
 RK_INSUFFICIENT = "insufficient_papers"
 
 
-class CorpusFormatError(ValueError):
+class CorpusFormatError(DataError):
     """The corpus file cannot be parsed at all (bad header, not CSV)."""
 
 
-class UnknownCountryError(KeyError):
-    def __str__(self):
-        return f"country {self.args[0]!r} does not appear in the corpus"
+class UnknownCountryError(DataError):
+    def __init__(self, country: str):
+        super().__init__(f"country {country!r} does not appear in the corpus")
 
 
-class EmptyCorpusError(ValueError):
+class EmptyCorpusError(DataError):
     pass
 
 
@@ -82,8 +82,13 @@ class CorpusMeta:
     @classmethod
     def from_json(cls, path) -> "CorpusMeta":
         """Read a sidecar; a window is a JSON list of two integer years,
-        first <= last, and anything else is a `CorpusFormatError`."""
-        data = json.loads(Path(path).read_text())
+        first <= last, `field` and `source` are strings, and anything else
+        is a `CorpusFormatError`."""
+        text = read_text(path)
+        try:
+            data = json.loads(text)
+        except (ValueError, RecursionError) as exc:  # JSONDecodeError, or too many digits or levels
+            raise CorpusFormatError(f"{path}: invalid JSON: {exc}") from None
         if not isinstance(data, dict):
             raise CorpusFormatError(f"{path}: metadata must be a JSON object, got {type(data).__name__}")
 
@@ -101,11 +106,17 @@ class CorpusMeta:
                 )
             return (value[0], value[1])
 
+        def string(key):
+            value = data.get(key, "")
+            if not isinstance(value, str):
+                raise CorpusFormatError(f"{path}: {key} must be a string, got {json.dumps(value)}")
+            return value
+
         meta = cls(
-            field=data.get("field", ""),
             pub_window=window("pub_window"),
             cit_window=window("cit_window"),
-            source=data.get("source", ""),
+            field=string("field"),
+            source=string("source"),
         )
         meta.validate()
         return meta
@@ -292,9 +303,12 @@ def load_corpus(path, meta: CorpusMeta | None = None) -> CorpusLoadResult:
     # utf-8-sig drops the byte-order mark spreadsheet exports put first
     try:
         with open(path, newline="", encoding="utf-8-sig") as handle:
-            return _read_corpus(csv.reader(handle), path, meta)
+            reader = csv.reader(handle)
+            return _read_corpus(reader, path, meta)
     except UnicodeDecodeError as exc:
-        raise _not_utf8(path, exc) from None
+        raise CorpusFormatError(not_utf8(path, exc)) from None
+    except csv.Error as exc:
+        raise CorpusFormatError(f"{path}: line {reader.line_num}: {exc}") from None
 
 
 def _read_corpus(reader, path, meta: CorpusMeta | None) -> CorpusLoadResult:
@@ -314,7 +328,10 @@ def _read_corpus(reader, path, meta: CorpusMeta | None) -> CorpusLoadResult:
     window = meta.pub_window if meta is not None else None
     ids, years, citations, fields, indptr, indices = [], [], [], [], [0], []
     errors, seen, code_of = [], set(), {}
-    for line, row in enumerate(reader, start=2):
+    end = reader.line_num
+    for row in reader:
+        # a row starts on the line after the last one the previous row spans
+        line, end = end + 1, reader.line_num
         if not row:
             continue
         try:
@@ -338,18 +355,6 @@ def _read_corpus(reader, path, meta: CorpusMeta | None) -> CorpusLoadResult:
         indices=np.array(indices, dtype=np.int64),
     )
     return CorpusLoadResult(records=corpus, errors=errors)
-
-
-def _not_utf8(path, exc: UnicodeDecodeError) -> CorpusFormatError:
-    """Name the first line that is not UTF-8; decoding runs ahead of the
-    csv reader in blocks, so the error itself does not locate the line."""
-    with open(path, "rb") as handle:
-        for line, raw in enumerate(handle, start=1):
-            try:
-                raw.decode("utf-8")
-            except UnicodeDecodeError:
-                break
-    return CorpusFormatError(f"{path}: line {line} is not valid UTF-8 ({exc.reason})")
 
 
 def split_country(records: Sequence[PaperRecord], country: str) -> CountrySplit:

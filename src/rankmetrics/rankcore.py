@@ -15,6 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .errors import DataError
 from .synthdist import CitationSeries
 
 ORDINAL = "ordinal"
@@ -22,15 +23,16 @@ COMPETITION = "competition"
 TIE_POLICIES = (ORDINAL, COMPETITION)
 
 
-class DuplicateLabelError(ValueError):
+class DuplicateLabelError(DataError):
     pass
 
 
-class UnknownLabelError(KeyError):
-    pass
+class UnknownLabelError(DataError):
+    def __init__(self, label: str):
+        super().__init__(f"unknown series label {label!r}")
 
 
-class InsufficientPapersError(ValueError):
+class InsufficientPapersError(DataError):
     """A unit holds fewer papers than the requested top-k."""
 
 

@@ -9,10 +9,12 @@ per (mu, size) cell, with labels assigned in grid order (aa, ab, ...).
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
+
+from .errors import DataError, read_text
 
 SYNTHETIC = "synthetic"
 REAL = "real"
@@ -23,11 +25,11 @@ _CONFIG_KEYS = ("mu_start", "mu_end", "mu_count", "sizes", "seed")
 DEFAULT_SIGMA = 1.1
 
 
-class GridError(ValueError):
+class GridError(DataError):
     """Inconsistent ensemble grid parameters."""
 
 
-class ConfigError(ValueError):
+class ConfigError(DataError):
     """Malformed ensemble configuration file."""
 
 
@@ -114,6 +116,9 @@ class EnsembleConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "sizes", tuple(int(s) for s in self.sizes))
+        for name in ("mu_start", "mu_end"):
+            if not math.isfinite(getattr(self, name)):
+                raise GridError(f"{name} must be finite, got {getattr(self, name)}")
         if self.mu_count < 1:
             raise GridError(f"mu_count must be >= 1, got {self.mu_count}")
         if not self.sizes:
@@ -155,7 +160,7 @@ def load_config(path) -> EnsembleConfig:
     ``#`` starts a comment.
     """
     raw = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
@@ -208,7 +213,14 @@ def sample_series(spec: LognormalSpec, seed: int, stream_id: int) -> CitationSer
         raise ValueError("stream_id must be >= 0")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, stream_id))))
     z = rng.standard_normal(spec.n)
-    return CitationSeries(spec.label, np.exp(spec.mu + spec.sigma * z), origin=SYNTHETIC)
+    with np.errstate(over="ignore"):  # an overflow gives inf, which CitationSeries refuses
+        values = np.exp(spec.mu + spec.sigma * z)
+    try:
+        return CitationSeries(spec.label, values, origin=SYNTHETIC)
+    except ValueError as exc:
+        raise GridError(
+            f"series {spec.label}: mu = {spec.mu} puts values outside float range ({exc})"
+        ) from None
 
 
 def combine_series(parts: list[CitationSeries], new_label: str) -> CitationSeries:

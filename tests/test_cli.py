@@ -1,14 +1,21 @@
+import argparse
+import contextlib
+import io
 import json
 import math
 import os
+import re
+import tempfile
 import warnings
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rankmetrics import experiments, synthdist
-from rankmetrics.cli import main
+from rankmetrics.cli import build_parser, main
 from rankmetrics.ingest import corpus_world_ranks, load_corpus
 
 SMALL_CFG = (
@@ -232,8 +239,13 @@ def test_assess_without_countries_is_data_error(tmp_path, corpus_csv, capsys, ar
         ("[1, 2]", "metadata must be a JSON object, got list"),
         ('{"pub_window": ["a", "b"]}', "pub_window must be [first, last] integer years"),
         ('{"cit_window": [2022, 2019]}', "cit_window must be [first, last] integer years"),
+        ('{"field": "x" "source": "y"}', "invalid JSON: Expecting ',' delimiter"),
+        ("[" * 100_000, "invalid JSON: maximum recursion depth exceeded"),
+        ('{"field": 3}', "field must be a string, got 3"),
+        ('{"source": ["x"]}', 'source must be a string, got ["x"]'),
     ],
-    ids=["short-window", "not-an-object", "non-integer-years", "reversed-window"],
+    ids=["short-window", "not-an-object", "non-integer-years", "reversed-window",
+         "json-syntax", "json-too-deep", "field-type", "source-type"],
 )
 def test_malformed_meta_is_data_error(tmp_path, corpus_csv, capsys, meta, bad):
     path = tmp_path / "meta.json"
@@ -243,6 +255,38 @@ def test_malformed_meta_is_data_error(tmp_path, corpus_csv, capsys, meta, bad):
     captured = capsys.readouterr()
     assert captured.err.startswith(f"error: {path}: {bad}")
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("kind", ["config", "meta", "countries-file"])
+def test_invalid_utf8_file_is_data_error(tmp_path, corpus_csv, capsys, kind):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"# first line\n\xe9\n")
+    out = tmp_path / "out"
+    argv = {
+        "config": ["gen", "--config", str(path)],
+        "meta": ["rk", "--input", corpus_csv, "--meta", str(path), "--country", "USA",
+                 "--split", "domestic"],
+        "countries-file": ["assess", "--input", corpus_csv, "--countries-file", str(path)],
+    }[kind]
+    assert main([*argv, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {path}: line 2 is not valid UTF-8 (invalid continuation byte)\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mu", ["nan", "inf", "800", "-1000"])
+@pytest.mark.parametrize("command", ["gen", "rank"])
+def test_unusable_mu_is_data_error(tmp_path, capsys, command, mu):
+    path = tmp_path / "grid.cfg"
+    path.write_text(SMALL_CFG.replace("mu_start = 4.0", f"mu_start = {mu}"))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(path), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert "mu" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
 
 
 def test_study_commands_check_out_before_sampling(small_cfg, capsys, monkeypatch):
@@ -292,6 +336,10 @@ def test_meaningless_index_flags_are_data_errors(tmp_path, small_cfg, capsys, fl
         (["tables1", "--sample-size", "0"], "--sample-size must be >= 1"),
         (["rank", "--top", "-1"], "--top must be >= 1"),
         (["rank", "--top", "0"], "--top must be >= 1"),
+        (["ptop", "--x", "0.0001"], "top 0.0001% of a world of 46200 papers holds no entries"),
+        (["rank", "--labels", ","], "--labels names no label"),
+        (["rank", "--labels", "aa,zz"], "unknown series label 'zz'"),
+        (["ptop", "--labels", "aa,zz"], "unknown series label 'zz'"),
     ],
 )
 @pytest.mark.parametrize("to_dir", [True, False], ids=["out", "stdout"])
@@ -359,3 +407,129 @@ def test_no_temp_leftovers(tmp_path, small_cfg, capsys):
     assert main(["fig1", "--config", small_cfg, "--out", str(out)]) == 0
     assert not [f for f in os.listdir(out) if f.endswith(".part")]
     capsys.readouterr()
+
+
+# Input files for the argv fuzz test: a 33x3 grid small enough to sample in
+# a few milliseconds, and corpora, sidecars and country lists with planted
+# defects.  Each flag that names a file draws one of these by key.
+FUZZ_FILES = {
+    "grid.cfg": SMALL_CFG.replace("sizes = 800,400,200", "sizes = 14,12,10").encode(),
+    "nan.cfg": SMALL_CFG.replace("mu_start = 4.0", "mu_start = nan").encode(),
+    "mu800.cfg": SMALL_CFG.replace("mu_start = 4.0", "mu_start = 800").encode(),
+    "latin1.cfg": SMALL_CFG.encode() + b"# \xe9\n",
+    "keyless.cfg": b"mu_start 4.0\n",
+    "corpus.csv": CORPUS.encode(),
+    "tied.csv": TIED_CORPUS.encode(),
+    "badrows.csv": (CORPUS + 'u000,2015,3,USA\n"x\ny",2015,-1,CHN\nz,20x5,3,JPN\n').encode(),
+    "latin1.csv": CORPUS.encode() + b"p\xe9,2015,3,FRA\n",
+    "header.csv": b"id;year;citations;countries\n",
+    "empty.csv": b"",
+    "headeronly.csv": b"\xef\xbb\xbfid,year,citations,countries\n",
+    "meta.json": b'{"field": "x", "pub_window": [2014, 2016], "cit_window": [2019, 2021]}',
+    "oddwindow.json": b'{"pub_window": [2014, 2016], "cit_window": [2018, 2021]}',
+    "syntax.json": b'{"field": "x" "source": "y"}',
+    "types.json": b'{"field": 3, "source": ["x"]}',
+    "list.json": b"[2014, 2016]",
+    "latin1.json": b'{"field": "\xe9"}',
+    "countries.txt": b"# assess these\nUSA\n\nCHN\n",
+    "nocountries.txt": b"# none\n",
+    "latin1.txt": b"USA\n\xe9\n",
+}
+FILE_FLAGS = {
+    "config": [n for n in FUZZ_FILES if n.endswith(".cfg")],
+    "input": [n for n in FUZZ_FILES if n.endswith(".csv")],
+    "meta": [n for n in FUZZ_FILES if n.endswith(".json")],
+    "countries_file": [n for n in FUZZ_FILES if n.endswith(".txt")],
+}
+FLAG_VALUES = {
+    "seed": ["0", "7", "-1", str(2**64), "x"],
+    "k": ["1", "3", "10", "0", "-2", "100000", "x"],
+    "top": ["1", "3", "0", "-1", str(10**30)],
+    "sample_size": ["1", "15", "0", "-1", "100000", "x"],
+    "offset": ["0", "20", "1e308", "-1", "nan", "inf", "x"],
+    "scale": ["1000", "1e-300", "1e308", "0", "-inf", "nan"],
+    "x": ["10,1", "100", "0.0001", "0", "150", "nan", ",", "", "a,1"],
+    "labels": ["aa,ab", "aa", ",", "zz", "aa,,ab", ""],
+    "country": ["USA", "CHN", "ZZZ", ""],
+    "countries": ["USA,CHN", "USA", ",", "ZZZ", ""],
+}
+# A value a file flag may name instead of a file; --out also takes these.
+BAD_PATHS = ["missing", "dir", "blocker", "blocker/sub"]
+
+
+def subcommand_flags():
+    """Each subcommand's flags: (option, dest, takes a value, choices, required)."""
+    parser = build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return {
+        name: [(a.option_strings[-1], a.dest, a.nargs != 0, a.choices, a.required)
+               for a in p._actions if a.option_strings and not isinstance(a, argparse._HelpAction)]
+        for name, p in sub.choices.items()
+    }
+
+
+SUBCOMMANDS = subcommand_flags()
+
+
+@st.composite
+def fuzz_argv(draw):
+    """A subcommand and a random subset of its flags, each with a good,
+    boundary or garbage value, in random order.  The first value of each
+    list is a good one and is drawn about half the time."""
+    command = draw(st.sampled_from(sorted(SUBCOMMANDS)))
+    argv = []
+    for option, dest, takes_value, choices, required in SUBCOMMANDS[command]:
+        if draw(st.integers(0, 9)) >= (9 if required else 7 if dest in ("config", "input") else 3):
+            continue
+        if not takes_value:
+            argv.append([option])
+            continue
+        if choices:
+            values = [*choices, *choices, "bogus"]
+        elif dest in FILE_FLAGS:
+            values = FILE_FLAGS[dest] + BAD_PATHS
+        elif dest == "out":
+            values = ["out", *BAD_PATHS[1:]]
+        else:
+            values = FLAG_VALUES[dest]
+        argv.append([option, draw(st.sampled_from([values[0]] * len(values) + values))])
+    argv = [token for flag in draw(st.permutations(argv)) for token in flag]
+    return [command, *argv]
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    base = tmp_path_factory.mktemp("fuzz")
+    for name, data in FUZZ_FILES.items():
+        (base / name).write_bytes(data)
+    (base / "dir").mkdir()
+    (base / "blocker").write_text("a file, not a directory")
+    return base
+
+
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(argv=fuzz_argv())
+def test_fuzzed_argv_exits_with_a_diagnosis(fuzz_dir, argv):
+    """Any argv the parser's own flags can form, over defective inputs,
+    exits 0, 1 or 2 and raises nothing else.  Exit 1 ends with one
+    `error: ` line that says more than a quoted value (row diagnoses may
+    precede it), and a failed run writes no file and nothing to stdout."""
+    out = Path(tempfile.mkdtemp(dir=fuzz_dir)) / "out"
+    named = {"out": str(out)}
+    named.update((name, str(fuzz_dir / name)) for name in [*FUZZ_FILES, *BAD_PATHS])
+    argv = [named.get(token, token) for token in argv]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    err = stderr.getvalue()
+    assert code in (0, 1, 2), (argv, err)
+    if code == 1:
+        last = err.splitlines()[-1]
+        assert last.startswith("error: ") and not re.fullmatch(r"error: '.*'", last), (argv, err)
+    if code != 0:
+        assert not out.exists(), argv
+        assert stdout.getvalue() == "", argv
+    assert (fuzz_dir / "blocker").read_text() == "a file, not a directory"

@@ -256,6 +256,21 @@ def test_invalid_utf8_is_format_error(tmp_path):
         load_corpus(path)
 
 
+def test_row_lines_count_physical_lines_after_a_multiline_field(tmp_path):
+    path = write_corpus(tmp_path, '"p1\nx",2015,3,USA\np2,2015,-1,USA\n\np3,2015,x,USA\n')
+    result = load_corpus(path)
+    assert [str(e) for e in result.errors] == [
+        "line 4: negative citation count -1",
+        "line 6: invalid literal for int() with base 10: 'x'",
+    ]
+
+
+def test_unparseable_csv_is_format_error(tmp_path):
+    path = write_corpus(tmp_path, f"p1,2015,3,USA\n\"{'x' * 200_000}\",2015,3,USA\n")
+    with pytest.raises(CorpusFormatError, match=r"corpus\.csv: line 3: field larger than field limit"):
+        load_corpus(path)
+
+
 # A slow per-row oracle for the loader and `assess`: each row is split on
 # commas and checked field by field in the order the loader reports
 # defects; world ranks come from a brute-force sort by (-citations, id).
