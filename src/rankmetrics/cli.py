@@ -11,15 +11,14 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import io
 import json
 import math
 import os
 import sys
 
-from . import __version__, experiments, indicators, ingest, rankcore, synthdist
+from . import __version__, experiments, indicators, ingest, rankcore, synthdist, table
 from .errors import DataError, read_text
-from .experiments import atomic_write_text, config_hash
+from .experiments import atomic_open, atomic_write_text, config_hash
 from .rankcore import TIE_POLICIES
 
 DEFAULT_X = (10.0, 1.0, 0.5, 0.1, 0.01)
@@ -57,7 +56,7 @@ def build_parser() -> argparse.ArgumentParser:
             )
         if report:  # gen writes a fixed set of CSV files and ranks nothing
             p.add_argument("--tie-policy", choices=TIE_POLICIES, default=rankcore.ORDINAL)
-            p.add_argument("--format", choices=("csv", "json"), default="csv")
+            p.add_argument("--format", choices=table.FORMATS, default="csv")
         p.add_argument("--out", help="output directory (default: stdout where supported)")
 
     def add_indicator_flags(p):
@@ -166,19 +165,13 @@ def load_corpus_or_fail(args) -> ingest.Corpus:
     return result.records
 
 
-def emit_rows(rows: list[dict], columns, args, name: str, parameters: dict) -> int:
-    """Write rows as CSV/JSON to --out (with sidecar) or stdout."""
+def emit(report: experiments.ExperimentReport, args) -> int:
+    """Write a report as CSV/JSON to --out (with sidecar) or stdout."""
     if args.out:
-        report = experiments.ExperimentReport(
-            experiment_id=name, parameters=parameters, columns=tuple(columns), rows=rows
-        )
         for path in experiments.write_report(report, args.out, fmt=args.format):
             print(path)
-        return 0
-    if args.format == "json":
-        print(json.dumps(rows, indent=1))
     else:
-        sys.stdout.write(experiments.csv_text(columns, rows))
+        table.write_table(sys.stdout, *report.table(args.format), args.format)
     return 0
 
 
@@ -191,11 +184,10 @@ def cmd_gen(args) -> int:
     params = {"config": config.to_dict()}
     digest = config_hash(params)
     base = os.path.join(args.out, f"ensemble_{digest}")
-    spec_buf, value_buf = io.StringIO(), io.StringIO()
-    synthdist.write_specs_csv(ensemble.specs, spec_buf)
-    synthdist.write_values_csv(ensemble.series, value_buf)
-    atomic_write_text(base + "_specs.csv", spec_buf.getvalue())
-    atomic_write_text(base + "_values.csv", value_buf.getvalue())
+    with atomic_open(base + "_specs.csv") as handle:
+        synthdist.write_specs_csv(ensemble.specs, handle)
+    with atomic_open(base + "_values.csv") as handle:
+        synthdist.write_values_csv(ensemble.series, handle)
     sidecar = {
         "experiment": "gen",
         "config_hash": digest,
@@ -215,12 +207,15 @@ def cmd_rank(args) -> int:
     ensemble = synthdist.generate_ensemble(config)
     world = rankcore.build_world(list(ensemble.series), tie_policy=args.tie_policy)
     labels = args.labels.split(",") if args.labels else None
-    rows = list(rankcore.rank_table_rows(world, labels=labels, top=args.top))
+    chunks = rankcore.rank_table_chunks(world, labels=labels, top=args.top)
     params = {
         "config": config.to_dict(), "tie_policy": args.tie_policy,
         "labels": labels, "top": args.top,
     }
-    return emit_rows(rows, ("label", "rank2", "rank1", "value"), args, "rank", params)
+    report = experiments.ExperimentReport(
+        "rank", params, rankcore.RANK_TABLE_COLUMNS, chunks=chunks
+    )
+    return emit(report, args)
 
 
 def corpus_unit(args, records) -> ingest.AssessmentRow:
@@ -234,9 +229,9 @@ def corpus_unit(args, records) -> ingest.AssessmentRow:
 
 def cmd_rk(args) -> int:
     records = load_corpus_or_fail(args)
-    table = ingest.assessment_table([corpus_unit(args, records)])
+    rows = ingest.assessment_table([corpus_unit(args, records)])
     params = corpus_parameters(args)
-    return emit_rows(table, ingest.ASSESSMENT_COLUMNS, args, "rk", params)
+    return emit(experiments.ExperimentReport("rk", params, ingest.ASSESSMENT_COLUMNS, rows), args)
 
 
 def parse_x_list(text: str) -> list[float]:
@@ -275,7 +270,7 @@ def ptop_corpus(args, xs) -> int:
     row["rk"] = "" if unit.rk is None else unit.rk.rk
     columns = ["label", "p", "p0"] + [f"ptop_{x:g}" for x in xs] + ["rk"]
     params = corpus_parameters(args, x=xs)
-    return emit_rows([row], columns, args, "ptop", params)
+    return emit(experiments.ExperimentReport("ptop", params, tuple(columns), [row]), args)
 
 
 def ptop_synthetic(args, xs) -> int:
@@ -296,7 +291,7 @@ def ptop_synthetic(args, xs) -> int:
     columns = ["label", "mu", "n"] + [f"ptop_{x:g}" for x in xs] + ["rk"]
     params = {"config": config.to_dict(), "tie_policy": args.tie_policy, "x": xs,
               "labels": args.labels, "k": args.k, "offset": args.offset, "scale": args.scale}
-    return emit_rows(rows, columns, args, "ptop", params)
+    return emit(experiments.ExperimentReport("ptop", params, tuple(columns), rows), args)
 
 
 def make_experiment_handler(name: str):
@@ -336,9 +331,7 @@ def make_experiment_handler(name: str):
                     ensemble, k=args.k, offset=args.offset, scale=args.scale,
                     tie_policy=args.tie_policy,
                 )
-        for path in experiments.write_report(report, args.out, fmt=args.format):
-            print(path)
-        return 0
+        return emit(report, args)
 
     return handler
 
@@ -385,9 +378,11 @@ def cmd_assess(args) -> int:
         records, countries, k=args.k, offset=args.offset,
         scale=args.scale, tie_policy=args.tie_policy,
     )
-    table = ingest.assessment_table(rows)
     params = corpus_parameters(args, countries=countries)
-    return emit_rows(table, ingest.ASSESSMENT_COLUMNS, args, "assess", params)
+    report = experiments.ExperimentReport(
+        "assess", params, ingest.ASSESSMENT_COLUMNS, ingest.assessment_table(rows)
+    )
+    return emit(report, args)
 
 
 if __name__ == "__main__":

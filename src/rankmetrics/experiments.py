@@ -12,7 +12,9 @@ import hashlib
 import json
 import os
 import tempfile
-from dataclasses import dataclass
+from collections.abc import Iterable
+from contextlib import contextmanager
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -21,6 +23,7 @@ from .errors import DataError
 from .indicators import analytic_ptop, rk_from_rank1s
 from .rankcore import ORDINAL, RankQuery, build_world, geometric_mean
 from .synthdist import Ensemble, EnsembleConfig, generate_ensemble
+from .table import write_table
 
 FIG2_PERCENTILES = (10.0, 3.0, 1.0, 0.5, 0.1)
 EQUIV_RANGE_01 = (0.5, 39.5)
@@ -39,14 +42,17 @@ def config_hash(parameters: dict) -> str:
     return hashlib.sha256(canonical_json(parameters).encode()).hexdigest()[:12]
 
 
-def atomic_write_text(path, text: str) -> None:
-    """Write via a temp file and rename, so readers never see a partial file."""
+@contextmanager
+def atomic_open(path):
+    """A text file whose contents replace `path` only when the block exits
+    cleanly: it is written as a temp file beside `path`, then renamed, so
+    readers never see a partial file and a failure leaves none."""
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
     try:
         with os.fdopen(fd, "w") as handle:
-            handle.write(text)
+            yield handle
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -54,68 +60,66 @@ def atomic_write_text(path, text: str) -> None:
         raise
 
 
+def atomic_write_text(path, text: str) -> None:
+    """Write via a temp file and rename, so readers never see a partial file."""
+    with atomic_open(path) as handle:
+        handle.write(text)
+
+
 @dataclass
 class ExperimentReport:
-    """Tabular output of one study plus everything needed to reproduce it."""
+    """Tabular output of one study plus everything needed to reproduce it.
+
+    The table is `rows`, one dict per row, or, for an export too large to
+    hold as dicts, `chunks`: column chunks in `columns` order, consumed
+    once as they are written (see `table.write_table`).
+    """
 
     experiment_id: str
     parameters: dict
     columns: tuple[str, ...]
-    rows: list[dict]
+    rows: list[dict] = field(default_factory=list)
     config_hash: str = ""
+    chunks: Iterable | None = None
 
     def __post_init__(self):
-        if not self.rows:
+        if self.chunks is None and not self.rows:
             raise ValueError("a report must carry at least one row")
         if not self.config_hash:
             self.config_hash = config_hash(self.parameters)
 
-    def sidecar(self) -> dict:
+    def table(self, fmt: str):
+        """(names, chunks) to write in `fmt`.  Dict rows become one chunk
+        here; their JSON keeps each dict's own key order, as
+        ``json.dumps(rows)`` does, where CSV follows `columns`."""
+        if self.chunks is not None:
+            return self.columns, self.chunks
+        names = tuple(self.rows[0]) if fmt == "json" else self.columns
+        return names, [[[row[name] for row in self.rows] for name in names]]
+
+    def sidecar(self, row_count: int) -> dict:
         # no timestamp here: fixed-seed runs must emit identical bytes
         return {
             "experiment": self.experiment_id,
             "config_hash": self.config_hash,
             "parameters": self.parameters,
             "columns": list(self.columns),
-            "row_count": len(self.rows),
+            "row_count": row_count,
             "tool_version": __version__,
         }
-
-
-def csv_text(columns, rows: list[dict]) -> str:
-    """Header plus one comma-joined line per row; floats keep full precision."""
-    lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(_cell(row[c]) for c in columns))
-    return "\n".join(lines) + "\n"
-
-
-def _cell(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return str(value)
 
 
 def write_report(report: ExperimentReport, out_dir, fmt: str = "csv") -> list[str]:
     """Emit <experiment>_<confighash>.csv|json plus the sidecar; returns paths."""
     os.makedirs(out_dir, exist_ok=True)
     base = os.path.join(os.fspath(out_dir), f"{report.experiment_id}_{report.config_hash}")
-    paths = []
-    if fmt == "csv":
-        data_path = base + ".csv"
-        atomic_write_text(data_path, csv_text(report.columns, report.rows))
-    elif fmt == "json":
-        data_path = base + ".rows.json"
-        atomic_write_text(data_path, json.dumps(report.rows, indent=1) + "\n")
-    else:
-        raise ValueError(f"unknown format {fmt!r}")
-    paths.append(data_path)
+    data_path = base + (".csv" if fmt == "csv" else ".rows.json")
+    with atomic_open(data_path) as handle:
+        row_count = write_table(handle, *report.table(fmt), fmt)
     sidecar_path = base + ".json"
-    atomic_write_text(sidecar_path, json.dumps(report.sidecar(), indent=1, sort_keys=True) + "\n")
-    paths.append(sidecar_path)
-    return paths
+    sidecar = json.dumps(report.sidecar(row_count), indent=1, sort_keys=True)
+    atomic_write_text(sidecar_path, sidecar + "\n")
+    return [data_path, sidecar_path]
 
 
 def top_rank1s(world: RankQuery, label: str, k: int) -> np.ndarray:

@@ -173,13 +173,19 @@ def _check_k(k: int) -> None:
         raise ValueError(f"k must be >= 1, got {k}")
 
 
+def _unit_values(world: RankQuery, label: str) -> np.ndarray:
+    """The unit's values; a unit without papers is as unknown as a missing one."""
+    values = world.unit_values(label)
+    if values.size == 0:
+        raise UnknownLabelError(label)
+    return values
+
+
 def _unit_ranks(world: RankQuery, label: str):
     """A unit's values in local order (descending), with their rank1s and
     rank2s.  rank2 is the paper's position among the unit's own papers
     (competition policy: the min rank of its local value block)."""
-    values = np.sort(world.unit_values(label))[::-1]
-    if values.size == 0:
-        raise UnknownLabelError(label)
+    values = np.sort(_unit_values(world, label))[::-1]
     if world.tie_policy == ORDINAL:
         rank2s = np.arange(1, values.size + 1, dtype=np.int64)
     else:
@@ -224,15 +230,25 @@ def ratio_index(top: TopKRanks) -> float:
     return geometric_mean([p.rank2 / p.rank1 for p in top.pairs])
 
 
-def rank_table_rows(world: RankQuery, labels=None, top: int | None = None):
-    """Rows for the rank-table export: label,rank2,rank1,value.
+RANK_TABLE_COLUMNS = ("label", "rank2", "rank1", "value")
 
-    `top` keeps each unit's first n rows in (rank2, rank1) order.
+
+def rank_table_chunks(world: RankQuery, labels=None, top: int | None = None):
+    """Column chunks of the rank-table export (`RANK_TABLE_COLUMNS`), one
+    per unit, each in (rank2, rank1) order.
+
+    `top` keeps each unit's first n rows.  `top` and every label are
+    checked here, before the first chunk is made, so a writer fed by the
+    returned generator never fails partway on a bad selection.
     """
     if top is not None:
         _check_k(top)
     chosen = list(labels) if labels is not None else list(world.labels)
     for label in chosen:
-        values, rank1s, rank2s = (a[:top].tolist() for a in _unit_ranks(world, label))
-        for r2, r1, v in zip(rank2s, rank1s, values):
-            yield {"label": label, "rank2": r2, "rank1": r1, "value": v}
+        _unit_values(world, label)
+    return (_rank_chunk(world, label, top) for label in chosen)
+
+
+def _rank_chunk(world: RankQuery, label: str, top: int | None):
+    values, rank1s, rank2s = (a[:top] for a in _unit_ranks(world, label))
+    return np.full(values.size, label), rank2s, rank1s, values

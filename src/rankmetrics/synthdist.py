@@ -8,13 +8,13 @@ per (mu, size) cell, with labels assigned in grid order (aa, ab, ...).
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DataError, read_text
+from .table import write_table
 
 SYNTHETIC = "synthetic"
 REAL = "real"
@@ -119,6 +119,10 @@ class EnsembleConfig:
         for name in ("mu_start", "mu_end"):
             if not math.isfinite(getattr(self, name)):
                 raise GridError(f"{name} must be finite, got {getattr(self, name)}")
+        if not math.isfinite(self.mu_end - self.mu_start):
+            raise GridError(
+                f"mu range {self.mu_start} to {self.mu_end} is too wide: its span overflows a float"
+            )
         if self.mu_count < 1:
             raise GridError(f"mu_count must be >= 1, got {self.mu_count}")
         if not self.sizes:
@@ -261,16 +265,12 @@ def generate_ensemble(config: EnsembleConfig) -> Ensemble:
 
 def write_specs_csv(specs, fileobj) -> None:
     """Spec table: label,mu,sigma,n."""
-    writer = csv.writer(fileobj, lineterminator="\n")
-    writer.writerow(["label", "mu", "sigma", "n"])
-    for spec in specs:
-        writer.writerow([spec.label, repr(spec.mu), repr(spec.sigma), spec.n])
+    fields = ("label", "mu", "sigma", "n")
+    write_table(fileobj, fields, [[[getattr(spec, f) for spec in specs] for f in fields]])
 
 
 def write_values_csv(series_list, fileobj) -> None:
-    """Long-format value table: label,value (one row per paper)."""
-    writer = csv.writer(fileobj, lineterminator="\n")
-    writer.writerow(["label", "value"])
-    for series in series_list:
-        for value in series.values:
-            writer.writerow([series.label, repr(float(value))])
+    """Long-format value table: label,value (one row per paper), written
+    one series at a time."""
+    chunks = ((np.full(series.n, series.label), series.values) for series in series_list)
+    write_table(fileobj, ("label", "value"), chunks)

@@ -289,6 +289,21 @@ def test_unusable_mu_is_data_error(tmp_path, capsys, command, mu):
     assert not out.exists()
 
 
+def test_mu_range_wider_than_a_float_is_one_diagnosis(tmp_path, capsys):
+    path = tmp_path / "wide.cfg"
+    path.write_text("mu_start = 1e308\nmu_end = -1e308\nmu_count = 3\nsizes = 5\nseed = 1\n")
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["gen", "--config", str(path), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"error: {path}: mu range 1e+308 to -1e+308 is too wide: its span overflows a float\n"
+    )
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_study_commands_check_out_before_sampling(small_cfg, capsys, monkeypatch):
     def unreachable(*args, **kwargs):
         raise AssertionError("the study ran before --out was checked")
@@ -340,6 +355,7 @@ def test_meaningless_index_flags_are_data_errors(tmp_path, small_cfg, capsys, fl
         (["rank", "--labels", ","], "--labels names no label"),
         (["rank", "--labels", "aa,zz"], "unknown series label 'zz'"),
         (["ptop", "--labels", "aa,zz"], "unknown series label 'zz'"),
+        (["rank", "--labels", "aa,zz", "--format", "json"], "unknown series label 'zz'"),
     ],
 )
 @pytest.mark.parametrize("to_dir", [True, False], ids=["out", "stdout"])

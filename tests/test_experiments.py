@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 import os
@@ -5,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rankmetrics.experiments import (
     ExperimentReport,
@@ -29,10 +33,15 @@ from rankmetrics.indicators import rk_from_rank1s
 from rankmetrics.rankcore import build_world
 from rankmetrics.synthdist import (
     REAL,
+    SYNTHETIC,
     CitationSeries,
     EnsembleConfig,
+    LognormalSpec,
     generate_ensemble,
+    write_specs_csv,
+    write_values_csv,
 )
+from rankmetrics.table import write_table
 
 SMALL_TRIPLE_GRID = EnsembleConfig(4.0, 2.0, 33, (800, 400, 200), seed=3)
 
@@ -275,3 +284,138 @@ def test_atomic_write_replaces(tmp_path):
 def test_report_requires_rows():
     with pytest.raises(ValueError):
         ExperimentReport("x", {}, ("a",), [])
+
+
+def test_failed_stream_leaves_no_file(tmp_path):
+    def chunks():
+        yield [np.array([1, 2]), np.array([0.5, 0.25])]
+        raise RuntimeError("source failed partway")
+
+    out = tmp_path / "out"
+    for fmt in ("csv", "json"):
+        report = ExperimentReport("x", {"a": 1}, ("n", "v"), chunks=chunks())
+        with pytest.raises(RuntimeError, match="partway"):
+            write_report(report, out, fmt=fmt)
+        assert os.listdir(out) == []
+
+
+# The writers the table writer replaced, kept as its oracles.
+def _cell(value) -> str:
+    if isinstance(value, float):
+        return repr(value)
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return str(value)
+
+
+def csv_text_oracle(columns, rows: list[dict]) -> str:
+    lines = [",".join(columns)]
+    for row in rows:
+        lines.append(",".join(_cell(row[c]) for c in columns))
+    return "\n".join(lines) + "\n"
+
+
+def csv_writer_oracle(header, rows) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+EDGE_FLOATS = [-0.0, 5e-324, 1e16, 1e-7, 0.1, math.nan, math.inf, -math.inf]
+INT64 = st.integers(-(2**63), 2**63 - 1)
+# rows are %-templates, so text holding % is an edge case of its own
+PERCENT = st.sampled_from(["%", "%s", "%%d", "é%"])
+# numpy string arrays drop trailing NULs and cannot hold lone surrogates
+ARRAY_TEXT = st.one_of(PERCENT, st.text(
+    st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"), max_size=4))
+CELLS = st.one_of(
+    st.sampled_from(EDGE_FLOATS), st.floats(), INT64, st.integers(2**53, 10**30),
+    st.booleans(), st.just(""), PERCENT, st.text(max_size=4),
+)
+
+
+@st.composite
+def column_tables(draw):
+    """(columns, column values, chunk cut points): arrays of every dtype the
+    program writes beside lists of mixed cells."""
+    size = draw(st.integers(0, 7))
+
+    def cells(strategy):
+        return draw(st.lists(strategy, min_size=size, max_size=size))
+
+    names = draw(st.lists(st.one_of(PERCENT, st.text(min_size=1, max_size=4)),
+                          min_size=1, max_size=4, unique=True))
+    values = []
+    for _ in names:
+        kind = draw(st.sampled_from(["float", "int", "bool", "str", "label", "list"]))
+        if kind == "float":
+            floats = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats())
+            values.append(np.array(cells(floats), dtype=np.float64))
+        elif kind == "int":
+            values.append(np.array(cells(INT64), dtype=np.int64))
+        elif kind == "bool":
+            values.append(np.array(cells(st.booleans()), dtype=bool))
+        elif kind == "str":
+            values.append(np.array(cells(ARRAY_TEXT), dtype=str))
+        elif kind == "label":
+            values.append(np.full(size, draw(ARRAY_TEXT)))
+        else:
+            values.append(cells(CELLS))
+    cuts = sorted(draw(st.lists(st.integers(0, size), max_size=5)))
+    return tuple(names), values, cuts
+
+
+@given(table=column_tables())
+@settings(max_examples=300, deadline=None)
+def test_write_table_matches_former_writers(table):
+    columns, values, cuts = table
+    edges = [0, *cuts, len(values[0])]
+    chunks = [[column[a:b] for column in values] for a, b in zip(edges, edges[1:])]
+    plain = [v.tolist() if isinstance(v, np.ndarray) else v for v in values]
+    rows = [dict(zip(columns, cells)) for cells in zip(*plain)]
+    expected = {
+        "csv": csv_text_oracle(columns, rows),
+        "json": json.dumps(rows, indent=1) + "\n",
+    }
+    for fmt, text in expected.items():
+        out = io.StringIO()
+        assert write_table(out, columns, iter(chunks), fmt) == len(rows)
+        assert out.getvalue() == text
+
+
+LABELS = st.text("abcdefghijklmnopqrstuvwxyz", min_size=1, max_size=3)
+POSITIVE = st.one_of(st.sampled_from([5e-324, 1e16, 1e-7, 0.1]),
+                     st.floats(min_value=5e-324, allow_infinity=False))
+
+
+@given(
+    labels=st.lists(LABELS, max_size=4, unique=True),
+    data=st.data(),
+)
+@settings(max_examples=200, deadline=None)
+def test_gen_writers_match_csv_writer(labels, data):
+    series = []
+    for label in labels:
+        if data.draw(st.booleans()):
+            values = data.draw(st.lists(POSITIVE, max_size=3))
+            series.append(CitationSeries(label, values, origin=SYNTHETIC))
+        else:
+            values = data.draw(st.lists(st.integers(0, 2**53), max_size=3))
+            series.append(CitationSeries(label, values, origin=REAL))
+    out = io.StringIO()
+    write_values_csv(series, out)
+    rows = [[s.label, repr(float(v))] for s in series for v in s.values]
+    assert out.getvalue() == csv_writer_oracle(["label", "value"], rows)
+    specs = [
+        LognormalSpec(label, data.draw(st.one_of(st.sampled_from(EDGE_FLOATS[:5]),
+                                                 st.floats(allow_nan=False, allow_infinity=False))),
+                      data.draw(st.floats(min_value=5e-324, allow_infinity=False)),
+                      data.draw(st.integers(1, 2**63)))
+        for label in labels
+    ]
+    out = io.StringIO()
+    write_specs_csv(specs, out)
+    rows = [[spec.label, repr(spec.mu), repr(spec.sigma), spec.n] for spec in specs]
+    assert out.getvalue() == csv_writer_oracle(["label", "mu", "sigma", "n"], rows)

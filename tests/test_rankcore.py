@@ -1,3 +1,4 @@
+import io
 import math
 
 import numpy as np
@@ -5,11 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rankmetrics.experiments import csv_text
 from rankmetrics.indicators import empirical_ptop, percentile_cutoff
 from rankmetrics.rankcore import (
     COMPETITION,
     ORDINAL,
+    RANK_TABLE_COLUMNS,
     DuplicateLabelError,
     InsufficientPapersError,
     RankPair,
@@ -19,7 +20,7 @@ from rankmetrics.rankcore import (
     build_world,
     dual_ranks,
     geometric_mean,
-    rank_table_rows,
+    rank_table_chunks,
     ratio_index,
     top_k,
 )
@@ -30,6 +31,7 @@ from rankmetrics.synthdist import (
     EnsembleConfig,
     generate_ensemble,
 )
+from rankmetrics.table import write_table
 
 GM_FACTORIAL_10 = math.factorial(10) ** 0.1
 
@@ -221,15 +223,18 @@ def test_weakest_series_barely_reaches_top_decile(world600_rank_stats):
 
 def test_rank_table_export():
     world = build_world([series("b", [4]), series("a", [3, 5])])
-    text = csv_text(("label", "rank2", "rank1", "value"), list(rank_table_rows(world)))
-    assert text.splitlines() == ["label,rank2,rank1,value", "a,1,1,5.0", "a,2,3,3.0", "b,1,2,4.0"]
+    out = io.StringIO()
+    assert write_table(out, RANK_TABLE_COLUMNS, rank_table_chunks(world)) == 3
+    assert out.getvalue().splitlines() == ["label,rank2,rank1,value", "a,1,1,5.0", "a,2,3,3.0", "b,1,2,4.0"]
+    with pytest.raises(UnknownLabelError):  # before the first chunk is asked for
+        rank_table_chunks(world, labels=["a", "zz"])
 
 
 @pytest.mark.parametrize("top", [0, -1])
 def test_rank_table_rejects_top_below_one(top):
     world = build_world([series("a", [5, 3]), series("b", [4])])
     with pytest.raises(ValueError, match="must be >= 1"):
-        list(rank_table_rows(world, top=top))
+        rank_table_chunks(world, top=top)
 
 
 @st.composite
@@ -293,8 +298,9 @@ def test_rank_query_matches_world_index(parts, tie_policy):
                 dual_ranks(world, part.label)
     filled = sorted(p.label for p in parts if p.n)
     for top in (None, 1, 3):
-        rows = rank_table_rows(world, labels=filled, top=top)
-        assert [(r["label"], r["rank1"], r["rank2"], r["value"]) for r in rows] == [
+        chunks = rank_table_chunks(world, labels=filled, top=top)
+        rows = [row for chunk in chunks for row in zip(*(list(column) for column in chunk))]
+        assert [(label, r1, r2, value) for label, r2, r1, value in rows] == [
             (label, *triple) for label in filled for triple in expected[label][:top]
         ]
     # every rank, so every percentile_cutoff rank in particular
