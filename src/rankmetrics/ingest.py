@@ -23,8 +23,9 @@ import numpy as np
 
 from .errors import DataError, not_utf8, read_text
 from .indicators import DEFAULT_K, DEFAULT_OFFSET, DEFAULT_SCALE, RkResult, percentile_cutoff, rk_from_rank1s
-from .rankcore import ORDINAL, build_world
-from .synthdist import REAL, CitationSeries
+# The corpus ranks without `build_world`; it stays importable here because
+# perfbench/spans.py wraps `ingest.build_world` by name and fails without it.
+from .rankcore import ORDINAL, TIE_POLICIES, _competition_ranks, build_world  # noqa: F401
 
 DOMESTIC = "domestic"
 COLLABORATIVE = "collaborative"
@@ -191,19 +192,25 @@ class Corpus(Sequence):
     def world_ranks(self, tie_policy: str = ORDINAL) -> np.ndarray:
         """Each paper's world rank, in row order.
 
-        Papers rank by citations descending; under the ordinal policy ties
-        are broken by id, so ranks do not depend on file row order or on
-        how other papers are labeled.
+        Papers rank by citations descending.  Under the ordinal policy
+        ties are broken by id, so ranks do not depend on file row order,
+        and a paper's rank is its position in (-citations, id) order.
+        Under the competition policy tied papers share their block's
+        smallest rank, so ids play no part.
         """
+        if tie_policy not in TIE_POLICIES:
+            raise ValueError(f"tie_policy must be one of {TIE_POLICIES}")
         n = len(self)
         if not n:
             raise EmptyCorpusError("corpus holds no records")
-        id_order = np.empty(n, dtype=np.int64)
-        id_order[sorted(range(n), key=self.ids.__getitem__)] = np.arange(n)
-        order = np.lexsort((id_order, -self.citations))
-        series = CitationSeries("corpus", self.citations[order], origin=REAL)
         ranks = np.empty(n, dtype=np.int64)
-        ranks[order] = build_world([series], tie_policy=tie_policy).top_rank1s("corpus", n)
+        if tie_policy == ORDINAL:
+            id_order = np.empty(n, dtype=np.int64)
+            id_order[sorted(range(n), key=self.ids.__getitem__)] = np.arange(n)
+            ranks[np.lexsort((id_order, -self.citations))] = np.arange(1, n + 1)
+        else:
+            order = np.argsort(-self.citations, kind="stable")
+            ranks[order] = _competition_ranks(self.citations[order])
         return ranks
 
     def incidence(self) -> tuple[np.ndarray, np.ndarray]:
@@ -264,35 +271,6 @@ class AssessmentRow:
     ranks: np.ndarray = field(repr=False, compare=False)
 
 
-def _parse_row(row: list[str], columns: int, window: tuple[int, int] | None):
-    """(id, year, citations, country codes) of one row; ValueError names
-    the first defect."""
-    if len(row) != columns:
-        raise ValueError(f"expected {columns} columns, got {len(row)}")
-    paper_id = row[0].strip()
-    if not paper_id:
-        raise ValueError("empty id")
-    year = int(row[1])
-    if window is not None:
-        lo, hi = window
-        if not lo <= year <= hi:
-            raise ValueError(f"year {year} outside publication window {lo}-{hi}")
-    citations = int(row[2])
-    if citations < 0:
-        raise ValueError(f"negative citation count {citations}")
-    if citations > MAX_CITATIONS:
-        # counts rank as float64, exact only up to 2**53
-        raise ValueError(f"citation count above 2**53 ({MAX_CITATIONS})")
-    countries = []
-    for code in row[3].split(";"):
-        code = code.strip()
-        if code and code not in countries:
-            countries.append(code)
-    if not countries:
-        raise ValueError("empty country list")
-    return paper_id, year, citations, countries
-
-
 def load_corpus(path, meta: CorpusMeta | None = None) -> CorpusLoadResult:
     """Read and validate a corpus CSV; malformed rows are collected, not fatal.
 
@@ -327,15 +305,47 @@ def _read_corpus(reader, path, meta: CorpusMeta | None) -> CorpusLoadResult:
     columns = len(header)
     window = meta.pub_window if meta is not None else None
     ids, years, citations, fields, indptr, indices = [], [], [], [], [0], []
-    errors, seen, code_of = [], set(), {}
+    errors, seen = [], set()
+    # Each distinct year, count and countries text is converted and checked
+    # once.  Country codes are numbered as their cells are first parsed,
+    # and renumbered by first use in an accepted row at the end.
+    year_of, count_of, cell_codes, code_of = {}, {}, {}, {}
     end = reader.line_num
     for row in reader:
         # a row starts on the line after the last one the previous row spans
         line, end = end + 1, reader.line_num
         if not row:
             continue
+        # The checks run in this order and the first failing one names the row.
         try:
-            paper_id, year, count, countries = _parse_row(row, columns, window)
+            if len(row) != columns:
+                raise ValueError(f"expected {columns} columns, got {len(row)}")
+            paper_id = row[0].strip()
+            if not paper_id:
+                raise ValueError("empty id")
+            year = year_of.get(row[1])
+            if year is None:
+                year = int(row[1])
+                if window is not None and not window[0] <= year <= window[1]:
+                    raise ValueError(f"year {year} outside publication window {window[0]}-{window[1]}")
+                year_of[row[1]] = year
+            count = count_of.get(row[2])
+            if count is None:
+                count = int(row[2])
+                if count < 0:
+                    raise ValueError(f"negative citation count {count}")
+                if count > MAX_CITATIONS:
+                    # counts rank as float64, exact only up to 2**53
+                    raise ValueError(f"citation count above 2**53 ({MAX_CITATIONS})")
+                count_of[row[2]] = count
+            codes = cell_codes.get(row[3])
+            if codes is None:
+                names = dict.fromkeys(name.strip() for name in row[3].split(";"))
+                names.pop("", None)
+                codes = tuple(code_of.setdefault(name, len(code_of)) for name in names)
+                cell_codes[row[3]] = codes
+            if not codes:
+                raise ValueError("empty country list")
             if paper_id in seen:
                 raise ValueError(f"duplicate id {paper_id!r}")
         except ValueError as exc:
@@ -345,18 +355,30 @@ def _read_corpus(reader, path, meta: CorpusMeta | None) -> CorpusLoadResult:
         ids.append(paper_id)
         years.append(year)
         citations.append(count)
-        fields.append((row[4].strip() or None) if has_field else None)
-        for code in countries:
-            indices.append(code_of.setdefault(code, len(code_of)))
+        if has_field:
+            fields.append(row[4].strip() or None)
+        indices.extend(codes)
         indptr.append(len(indices))
+    # A rejected duplicate-id row may name a country first, or one that no
+    # accepted row names: number the codes by first use in an accepted row.
+    indices = np.array(indices, dtype=np.int64)
+    first = np.full(len(code_of), indices.size)
+    np.minimum.at(first, indices, np.arange(indices.size))
+    order = np.argsort(first)[:np.count_nonzero(first < indices.size)]
+    renumber = np.empty(len(code_of), dtype=np.int64)
+    renumber[order] = np.arange(order.size)
+    names = list(code_of)
     corpus = Corpus(
-        ids=ids, years=years, citations=np.array(citations, dtype=np.int64), fields=fields,
-        countries=tuple(code_of), indptr=np.array(indptr, dtype=np.int64),
-        indices=np.array(indices, dtype=np.int64),
+        ids=ids, years=years, citations=np.array(citations, dtype=np.int64),
+        fields=fields if has_field else [None] * len(ids),
+        countries=tuple(names[code] for code in order.tolist()),
+        indptr=np.array(indptr, dtype=np.int64), indices=renumber[indices],
     )
     return CorpusLoadResult(records=corpus, errors=errors)
 
 
+# `split_country` and `corpus_world_ranks` serve tests only, but
+# perfbench/spans.py wraps both by name and fails if either is missing.
 def split_country(records: Sequence[PaperRecord], country: str) -> CountrySplit:
     """Partition a country's papers: single-affiliation vs multinational.
 

@@ -137,18 +137,19 @@ class RankQuery:
         # The unit's k largest values, descending.  A unit's equal values
         # hold consecutive world ranks, whichever member comes first.
         values = np.sort(np.partition(unit, n - k)[n - k:])[::-1]
-        left = np.searchsorted(self._asc, values, side="left")
         right = np.searchsorted(self._asc, values, side="right")
         rank1 = self.size - right + 1  # competition: 1 + entries strictly above
-        if self.tie_policy == ORDINAL and np.any(right - left > 1):
-            # Equal values order by label: count the equal entries of
-            # units whose label sorts first, then this unit's equal entries
-            # that precede in local order (values run descending).
-            labels = len(self._sizes)
-            tie_keys = self._tie_keys
-            first = tie_keys[left] // labels * labels + self._codes[label]
-            rank1 += np.searchsorted(tie_keys, first, side="left") - left
-            rank1 += np.arange(k) - np.searchsorted(-values, -values, side="left")
+        if self.tie_policy == ORDINAL:
+            left = np.searchsorted(self._asc, values, side="left")
+            if np.any(right - left > 1):
+                # Equal values order by label: count the equal entries of
+                # units whose label sorts first, then this unit's equal
+                # entries that precede in local order (values run descending).
+                labels = len(self._sizes)
+                tie_keys = self._tie_keys
+                first = tie_keys[left] // labels * labels + self._codes[label]
+                rank1 += np.searchsorted(tie_keys, first, side="left") - left
+                rank1 += np.arange(k) - np.searchsorted(-values, -values, side="left")
         return rank1
 
     @cached_property

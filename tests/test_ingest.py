@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rankmetrics.indicators import RkResult, percentile_cutoff, rk_from_rank1s
+from rankmetrics.indicators import RkResult, count_uncited, empirical_ptop, percentile_cutoff, rk_from_rank1s
 from rankmetrics.ingest import (
     COLLABORATIVE,
     DOMESTIC,
@@ -23,7 +23,10 @@ from rankmetrics.ingest import (
     corpus_world_ranks,
     load_corpus,
     split_country,
+    top_count,
 )
+from rankmetrics.rankcore import build_world
+from rankmetrics.synthdist import REAL, CitationSeries, EnsembleConfig, generate_ensemble
 
 RK_MAX_DEFAULT = 39.468121292436805
 
@@ -425,3 +428,77 @@ def test_corpus_from_records_round_trips():
     assert Corpus.from_records(corpus) is corpus
     with pytest.raises(IndexError):
         corpus[2]
+
+
+def test_country_named_only_by_a_rejected_duplicate_is_unknown(tmp_path):
+    path = write_corpus(tmp_path, "p1,2015,3,USA\np1,2015,4,FRA\np2,2015,1,CHN;FRA\n")
+    result = load_corpus(path)
+    assert [(e.line, e.message) for e in result.errors] == [(3, "duplicate id 'p1'")]
+    assert result.records.countries == ("USA", "CHN", "FRA")
+    path = write_corpus(tmp_path, "p1,2015,3,USA\np1,2015,4,FRA\np2,2015,1,CHN\n")
+    corpus = load_corpus(path).records
+    assert corpus.countries == ("USA", "CHN")
+    assert [r.countries for r in corpus] == [("USA",), ("CHN",)]
+    with pytest.raises(UnknownCountryError, match="'FRA'"):
+        assess(corpus, ["FRA"])
+
+
+def test_countries_are_numbered_by_first_use_in_an_accepted_row(tmp_path):
+    path = write_corpus(
+        tmp_path,
+        "p1,2015,3,USA\np1,2015,4,FRA;CHN\np2,2015,1,CHN;USA\n,2015,1,KOR\n"
+        "p3,2015,x,DEU\np4,2015,2,JPN;FRA\np5,2015,2,FRA;CHN\n",
+    )
+    corpus = load_corpus(path).records
+    assert corpus.countries == ("USA", "CHN", "JPN", "FRA")
+    assert [r.countries for r in corpus] == [("USA",), ("CHN", "USA"), ("JPN", "FRA"), ("FRA", "CHN")]
+    assert corpus.indices.tolist() == [0, 1, 0, 2, 3, 3, 1]
+
+
+def test_reversing_id_order_moves_only_ordinal_ranks():
+    citations = [5, 3, 5, 5, 0, 3, 7, 0]
+    before = [record(f"p{i}", c, ["USA"]) for i, c in enumerate(citations)]
+    after = [record(f"p{len(citations) - 1 - i}", c, ["USA"]) for i, c in enumerate(citations)]
+    for records in (before, after):
+        corpus = Corpus.from_records(records)
+        for tie_policy in ("ordinal", "competition"):
+            expected = oracle_ranks(records, tie_policy)
+            assert corpus.world_ranks(tie_policy).tolist() == [expected[r.id] for r in records]
+    one, two = Corpus.from_records(before), Corpus.from_records(after)
+    assert one.world_ranks("competition").tolist() == two.world_ranks("competition").tolist()
+    assert one.world_ranks("competition").tolist() == [2, 5, 2, 2, 7, 5, 1, 7]
+    assert one.world_ranks("ordinal").tolist() == [2, 5, 3, 4, 7, 6, 1, 8]
+    assert two.world_ranks("ordinal").tolist() == [4, 6, 3, 2, 8, 5, 1, 7]
+
+
+@pytest.mark.parametrize("tie_policy", ["ordinal", "competition"])
+def test_corpus_assessment_equals_the_synthetic_world(tmp_path, tie_policy):
+    # An ensemble rounded to integer counts, written as a corpus with one
+    # domestic country per series and ids ordered by (label, position),
+    # must rank exactly as the synthetic world built from the same counts.
+    config = EnsembleConfig(mu_start=2.5, mu_end=1.0, mu_count=4, sizes=(40, 15), seed=8)
+    series = [
+        CitationSeries(s.label, np.floor(s.values), origin=REAL)
+        for s in generate_ensemble(config).series
+    ]
+    lines = [
+        f"{s.label}{position:04d},2015,{int(value)},{s.label.upper()}"
+        for s in series for position, value in enumerate(s.values.tolist())
+    ]
+    lines.reverse()  # file order plays no part
+    path = write_corpus(tmp_path, "\n".join(lines) + "\n")
+    corpus = load_corpus(path).records
+    k = 10
+    rows = assess(corpus, [s.label.upper() for s in series], k=k, tie_policy=tie_policy)
+    world = build_world(series, tie_policy=tie_policy)
+    assert world.size == len(corpus)
+    for s, (domestic, collaborative) in zip(series, zip(rows[::2], rows[1::2])):
+        assert (domestic.split, collaborative.p) == (DOMESTIC, 0)
+        assert domestic.ranks.tolist() == world.top_rank1s(s.label, s.n).tolist()
+        assert domestic.rk.rank1s == tuple(world.top_rank1s(s.label, k).tolist())
+        assert domestic.p0 == count_uncited(s)
+        assert domestic.ptop10 == empirical_ptop(world, s.label, 10.0).value
+        for x in (1.0, 25.0, 50.0):
+            assert top_count(domestic.ranks, x, len(corpus)) == empirical_ptop(world, s.label, x).value
+    assert any(domestic.p0 for domestic in rows[::2])
+    assert len(np.unique(corpus.citations)) < len(corpus) // 2  # ties across series
