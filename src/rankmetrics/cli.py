@@ -22,6 +22,8 @@ from .experiments import atomic_open, atomic_write_text, config_hash
 from .rankcore import TIE_POLICIES
 
 DEFAULT_X = (10.0, 1.0, 0.5, 0.1, 0.01)
+# the flags a study command passes to its `experiments.run_*` by name
+STUDY_FLAGS = ("sample_size", "k", "offset", "scale", "tie_policy")
 
 
 def main(argv=None) -> int:
@@ -59,10 +61,11 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--format", choices=table.FORMATS, default="csv")
         p.add_argument("--out", help="output directory (default: stdout where supported)")
 
-    def add_indicator_flags(p):
+    def add_indicator_flags(p, index=True):
         p.add_argument("--k", type=int, default=indicators.DEFAULT_K)
-        p.add_argument("--offset", type=float, default=indicators.DEFAULT_OFFSET)
-        p.add_argument("--scale", type=float, default=indicators.DEFAULT_SCALE)
+        if index:  # tables1 reports rank ratios, not the index
+            p.add_argument("--offset", type=float, default=indicators.DEFAULT_OFFSET)
+            p.add_argument("--scale", type=float, default=indicators.DEFAULT_SCALE)
 
     p = sub.add_parser("gen", help="generate an ensemble and export it")
     add_common(p, config=True, report=False)
@@ -92,22 +95,22 @@ def build_parser() -> argparse.ArgumentParser:
                    help="country split (corpus input)")
     p.set_defaults(handler=cmd_ptop)
 
-    for name, help_text in (
-        ("tables1", "dual-rank sample table"),
-        ("fig1", "collapse of percentile counts onto inverse-rank means"),
-        ("fig2", "stringency tiers"),
-        ("fig3", "size/efficiency rank traces"),
-        ("fig4", "equivalence ranges of the rank index"),
+    for name, study, help_text in (
+        ("tables1", "run_table_s1", "dual-rank sample table"),
+        ("fig1", "run_fig1", "collapse of percentile counts onto inverse-rank means"),
+        ("fig2", "run_fig2", "stringency tiers"),
+        ("fig3", "run_fig3", "size/efficiency rank traces"),
+        ("fig4", "run_fig4", "equivalence ranges of the rank index"),
     ):
         p = sub.add_parser(name, help=help_text)
         add_common(p, config=name != "fig4")
         if name == "fig4":
             p.add_argument("--config", help="extended grid config (default: built-in 115-series grid)")
             p.add_argument("--seed", type=int, help="seed for the built-in grid or config override")
-        add_indicator_flags(p)
+        add_indicator_flags(p, index=name != "tables1")
         if name == "tables1":
             p.add_argument("--sample-size", type=int, default=15)
-        p.set_defaults(handler=make_experiment_handler(name))
+        p.set_defaults(handler=cmd_study, study=study)
 
     p = sub.add_parser("assess", help="country assessment table from a corpus")
     add_common(p, corpus=True)
@@ -130,7 +133,7 @@ def check_flags(args) -> None:
             raise DataError(f"--{name.replace('_', '-')} must be >= 1, got {value}")
     if getattr(args, "labels", None) and not args.labels.replace(",", "").strip():
         raise DataError("--labels names no label")
-    if not hasattr(args, "k"):
+    if not hasattr(args, "offset"):
         return
     if not (math.isfinite(args.offset) and args.offset >= 0):
         raise DataError(f"--offset must be a finite number >= 0, got {args.offset}")
@@ -247,15 +250,30 @@ def parse_x_list(text: str) -> list[float]:
     return xs
 
 
+# the flags that only ptop's other input reads
+FOREIGN_FLAGS = {"--input": ("labels", "seed"),
+                 "--config": ("country", "split", "meta", "skip_bad_rows")}
+
+
 def cmd_ptop(args) -> int:
     xs = parse_x_list(args.x)
     if args.input and args.config:
         raise DataError("give either --config or --input, not both")
+    if not (args.input or args.config):
+        raise DataError("ptop needs --config (synthetic) or --input (corpus)")
+    mode = "--input" if args.input else "--config"
+    for name in FOREIGN_FLAGS[mode]:
+        value = getattr(args, name)
+        if value is not None and value is not False:  # refused, not ignored
+            raise DataError(f"--{name.replace('_', '-')} does not apply to ptop {mode}")
     if args.input:
         return ptop_corpus(args, xs)
-    if args.config:
-        return ptop_synthetic(args, xs)
-    raise DataError("ptop needs --config (synthetic) or --input (corpus)")
+    ensemble = synthdist.generate_ensemble(load_run_config(args))
+    report = experiments.run_ptop(
+        ensemble, xs, labels=args.labels, k=args.k, offset=args.offset,
+        scale=args.scale, tie_policy=args.tie_policy,
+    )
+    return emit(report, args)
 
 
 def ptop_corpus(args, xs) -> int:
@@ -273,67 +291,20 @@ def ptop_corpus(args, xs) -> int:
     return emit(experiments.ExperimentReport("ptop", params, tuple(columns), [row]), args)
 
 
-def ptop_synthetic(args, xs) -> int:
-    config = load_run_config(args)
-    ensemble = synthdist.generate_ensemble(config)
-    world = rankcore.build_world(list(ensemble.series), tie_policy=args.tie_policy)
-    labels = args.labels.split(",") if args.labels else experiments.select_99(ensemble)
-    rows = []
-    for label in labels:
-        ranks = experiments.top_rank1s(world, label, args.k)  # refuses an unknown label
-        spec = ensemble.spec_by_label[label]
-        row = {"label": label, "mu": spec.mu, "n": spec.n}
-        for x in xs:
-            result = indicators.analytic_ptop(spec, world, x)
-            row[f"ptop_{x:g}"] = result.value
-        row["rk"] = indicators.rk_from_rank1s(ranks, offset=args.offset, scale=args.scale)
-        rows.append(row)
-    columns = ["label", "mu", "n"] + [f"ptop_{x:g}" for x in xs] + ["rk"]
-    params = {"config": config.to_dict(), "tie_policy": args.tie_policy, "x": xs,
-              "labels": args.labels, "k": args.k, "offset": args.offset, "scale": args.scale}
-    return emit(experiments.ExperimentReport("ptop", params, tuple(columns), rows), args)
-
-
-def make_experiment_handler(name: str):
-    def handler(args) -> int:
-        if name == "fig4" and not args.config:
-            if args.seed is None:
-                raise DataError("fig4 needs --seed when using the built-in grid")
-            config = experiments.extended_grid(args.seed)
-        else:
-            config = load_run_config(args)
-        if not args.out:  # before sampling, which is most of a study's time
-            raise DataError(f"{name} requires --out")
-        if name == "fig4":
-            report = experiments.run_fig4(
-                config, k=args.k, offset=args.offset, scale=args.scale,
-                tie_policy=args.tie_policy,
-            )
-        else:
-            ensemble = synthdist.generate_ensemble(config)
-            if name == "tables1":
-                report = experiments.run_table_s1(
-                    ensemble, sample_size=args.sample_size, k=args.k,
-                    tie_policy=args.tie_policy,
-                )
-            elif name == "fig1":
-                report = experiments.run_fig1(
-                    ensemble, k=args.k, offset=args.offset, scale=args.scale,
-                    tie_policy=args.tie_policy,
-                )
-            elif name == "fig2":
-                report = experiments.run_fig2(
-                    ensemble, k=args.k, offset=args.offset, scale=args.scale,
-                    tie_policy=args.tie_policy,
-                )
-            else:
-                report = experiments.run_fig3(
-                    ensemble, k=args.k, offset=args.offset, scale=args.scale,
-                    tie_policy=args.tie_policy,
-                )
-        return emit(report, args)
-
-    return handler
+def cmd_study(args) -> int:
+    if args.command == "fig4" and not args.config:
+        if args.seed is None:
+            raise DataError("fig4 needs --seed when using the built-in grid")
+        config = experiments.extended_grid(args.seed)
+    else:
+        config = load_run_config(args)
+    if not args.out:  # before sampling, which is most of a study's time
+        raise DataError(f"{args.command} requires --out")
+    # fig4 samples its own grid; the others study a sampled ensemble
+    source = config if args.command == "fig4" else synthdist.generate_ensemble(config)
+    flags = {name: getattr(args, name) for name in STUDY_FLAGS if hasattr(args, name)}
+    # looked up when run, so a wrapper set on `experiments` is the one called
+    return emit(getattr(experiments, args.study)(source, **flags), args)
 
 
 def file_sha256(path) -> str:

@@ -127,18 +127,20 @@ def top_rank1s(world: RankQuery, label: str, k: int) -> np.ndarray:
     return world.top_rank1s(label, k)
 
 
-def rank_trace(world: RankQuery, label: str, k: int) -> list[tuple[int, int]]:
-    """(rank2, rank1) pairs for the unit's k locally best papers."""
-    ranks = top_rank1s(world, label, k)
-    return [(i + 1, int(r)) for i, r in enumerate(ranks)]
+def _units(ensemble: Ensemble, labels, k: int, tie_policy: str):
+    """The ensemble's world, and a lazy (spec, top-k rank1s) per label.
+
+    A unit is ranked only when the study reaches it, so the study's own
+    checks on one unit fail before the next is ranked; and the rank query
+    sees each label before its spec is read, so it refuses an unknown one.
+    """
+    world = build_world(list(ensemble.series), tie_policy=tie_policy)
+    ranked = ((label, top_rank1s(world, label, k)) for label in labels)
+    return world, ((ensemble.spec_by_label[label], ranks) for label, ranks in ranked)
 
 
 def _join_ranks(ranks) -> str:
     return ";".join(str(int(r)) for r in ranks)
-
-
-def parse_ranks(cell: str) -> list[int]:
-    return [int(tok) for tok in cell.split(";")]
 
 
 def _base_parameters(config: EnsembleConfig, tie_policy: str, **extra) -> dict:
@@ -165,12 +167,11 @@ def run_table_s1(
     Each sampled series contributes k rows of (rank2, rank1, ratio) plus
     the geometric mean of its ratios, repeated down the block.
     """
-    world = build_world(list(ensemble.series), tie_policy=tie_policy)
     positions = sample_positions(len(ensemble.specs), sample_size)
+    labels = [ensemble.specs[pos].label for pos in positions]
+    _, units = _units(ensemble, labels, k, tie_policy)
     rows = []
-    for pos in positions:
-        spec = ensemble.specs[pos]
-        ranks = top_rank1s(world, spec.label, k)
+    for spec, ranks in units:
         ratios = [(i + 1) / float(r) for i, r in enumerate(ranks)]
         gm = geometric_mean(ratios)
         for i, r in enumerate(ranks):
@@ -228,15 +229,12 @@ def run_fig1(
 ) -> ExperimentReport:
     """Collapse study: per selected series, the geometric means of inverse
     global ranks (raw and offset) against expected top-10% / top-0.1% counts."""
-    world = build_world(list(ensemble.series), tie_policy=tie_policy)
-    labels = select_99(ensemble)
+    world, units = _units(ensemble, select_99(ensemble), k, tie_policy)
     rows = []
-    for label in labels:
-        spec = ensemble.spec_by_label[label]
-        ranks = top_rank1s(world, label, k)
+    for spec, ranks in units:
         rows.append(
             {
-                "label": label,
+                "label": spec.label,
                 "mu": spec.mu,
                 "n": spec.n,
                 "gm_inv_rank1": rk_from_rank1s(ranks, offset=0.0, scale=1.0),
@@ -268,28 +266,25 @@ def run_fig2(
 ) -> ExperimentReport:
     """Stringency tiers: the 99 selected series split 33/33/33 by
     descending rank index, with expected counts for several percentiles."""
-    world = build_world(list(ensemble.series), tie_policy=tie_policy)
-    labels = select_99(ensemble)
+    world, units = _units(ensemble, select_99(ensemble), k, tie_policy)
     entries = []
-    for label in labels:
-        spec = ensemble.spec_by_label[label]
-        ranks = top_rank1s(world, label, k)
+    for spec, ranks in units:
         entry = {
-            "label": label,
+            "label": spec.label,
             "mu": spec.mu,
             "n": spec.n,
             "rk": rk_from_rank1s(ranks, offset=offset, scale=scale),
             "rank1s": _join_ranks(ranks),
         }
         for x in FIG2_PERCENTILES:
-            entry[f"ptop_{_fmt_x(x)}"] = analytic_ptop(spec, world, x).value
+            entry[f"ptop_{x:g}"] = analytic_ptop(spec, world, x).value
         entries.append(entry)
     entries.sort(key=lambda e: (-e["rk"], e["label"]))
     third = len(entries) // 3
     for i, entry in enumerate(entries):
         entry["tier"] = "high" if i < third else ("medium" if i < 2 * third else "low")
     columns = ["label", "mu", "n", "tier", "rk"]
-    columns += [f"ptop_{_fmt_x(x)}" for x in FIG2_PERCENTILES]
+    columns += [f"ptop_{x:g}" for x in FIG2_PERCENTILES]
     columns.append("rank1s")
     params = _base_parameters(
         ensemble.config, tie_policy, k=k, offset=offset, scale=scale,
@@ -300,8 +295,34 @@ def run_fig2(
     )
 
 
-def _fmt_x(x: float) -> str:
-    return f"{x:g}"
+def run_ptop(
+    ensemble: Ensemble,
+    xs,
+    labels: str | None = None,
+    k: int = 10,
+    offset: float = 20.0,
+    scale: float = 1000.0,
+    tie_policy: str = ORDINAL,
+) -> ExperimentReport:
+    """Expected top-x% counts and the rank index of chosen series.
+
+    `labels` is a comma-separated label list, recorded in the parameters
+    as given; when empty or None the 99 triple-selected series are used.
+    """
+    chosen = labels.split(",") if labels else select_99(ensemble)
+    world, units = _units(ensemble, chosen, k, tie_policy)
+    rows = []
+    for spec, ranks in units:
+        row = {"label": spec.label, "mu": spec.mu, "n": spec.n}
+        for x in xs:
+            row[f"ptop_{x:g}"] = analytic_ptop(spec, world, x).value
+        row["rk"] = rk_from_rank1s(ranks, offset=offset, scale=scale)
+        rows.append(row)
+    columns = ["label", "mu", "n"] + [f"ptop_{x:g}" for x in xs] + ["rk"]
+    params = _base_parameters(
+        ensemble.config, tie_policy, x=list(xs), labels=labels, k=k, offset=offset, scale=scale
+    )
+    return ExperimentReport("ptop", params, tuple(columns), rows)
 
 
 def nearest_mu_index(config: EnsembleConfig, target: float) -> int:
@@ -324,26 +345,24 @@ def run_fig3(
     for n in size_pair:
         if n not in config.sizes:
             raise SelectionError(f"grid sizes {config.sizes} do not include {n}")
-    world = build_world(list(ensemble.series), tie_policy=tie_policy)
+    width = len(config.sizes)
+    labels = [ensemble.specs[nearest_mu_index(config, mu) * width + config.sizes.index(n)].label
+              for mu in mu_targets for n in size_pair]
+    _, units = _units(ensemble, labels, k, tie_policy)
     rows = []
-    for target in mu_targets:
-        mu_idx = nearest_mu_index(config, target)
-        for n in size_pair:
-            size_idx = config.sizes.index(n)
-            spec = ensemble.specs[mu_idx * len(config.sizes) + size_idx]
-            ranks = top_rank1s(world, spec.label, k)
-            rk = rk_from_rank1s(ranks, offset=offset, scale=scale)
-            for rank2, rank1 in enumerate(ranks, start=1):
-                rows.append(
-                    {
-                        "label": spec.label,
-                        "mu": spec.mu,
-                        "n": spec.n,
-                        "rank2": rank2,
-                        "rank1": int(rank1),
-                        "rk": rk,
-                    }
-                )
+    for spec, ranks in units:
+        rk = rk_from_rank1s(ranks, offset=offset, scale=scale)
+        for rank2, rank1 in enumerate(ranks, start=1):
+            rows.append(
+                {
+                    "label": spec.label,
+                    "mu": spec.mu,
+                    "n": spec.n,
+                    "rank2": rank2,
+                    "rank1": int(rank1),
+                    "rk": rk,
+                }
+            )
     params = _base_parameters(
         ensemble.config, tie_policy, k=k, offset=offset, scale=scale,
         mu_targets=list(mu_targets), size_pair=list(size_pair),
@@ -375,10 +394,9 @@ def run_fig4(
     """Equivalence ranges: rank-index to top-percentile ratios per series,
     flagged where the index may substitute for the percentile count."""
     ensemble = generate_ensemble(extended_config)
-    world = build_world(list(ensemble.series), tie_policy=tie_policy)
+    world, units = _units(ensemble, ensemble.labels, k, tie_policy)
     rows = []
-    for spec in ensemble.specs:
-        ranks = top_rank1s(world, spec.label, k)
+    for spec, ranks in units:
         rk = rk_from_rank1s(ranks, offset=offset, scale=scale)
         p01 = analytic_ptop(spec, world, 0.1).value
         p001 = analytic_ptop(spec, world, 0.01).value

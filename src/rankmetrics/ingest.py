@@ -151,7 +151,7 @@ class Corpus(Sequence):
         if len(set(ids)) < len(ids):
             ordered = sorted(ids)
             duplicate = next(a for a, b in zip(ordered, ordered[1:]) if a == b)
-            raise ValueError(f"duplicate id {duplicate!r}")
+            raise DataError(f"duplicate id {duplicate!r}")
         code_of, indptr, indices = {}, [0], []
         for r in records:
             # a record naming a country twice names it once, as a file row does

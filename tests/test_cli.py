@@ -356,6 +356,10 @@ def test_meaningless_index_flags_are_data_errors(tmp_path, small_cfg, capsys, fl
         (["rank", "--labels", "aa,zz"], "unknown series label 'zz'"),
         (["ptop", "--labels", "aa,zz"], "unknown series label 'zz'"),
         (["rank", "--labels", "aa,zz", "--format", "json"], "unknown series label 'zz'"),
+        # each unit's cutoffs are checked before the next unit is ranked
+        (["ptop", "--labels", "aa,zz", "--x", "0.0001"],
+         "top 0.0001% of a world of 46200 papers holds no entries"),
+        (["ptop", "--labels", "zz,aa", "--x", "0.0001"], "unknown series label 'zz'"),
     ],
 )
 @pytest.mark.parametrize("to_dir", [True, False], ids=["out", "stdout"])
@@ -376,10 +380,40 @@ def test_unknown_flag_is_usage_error(small_cfg):
 
 
 def test_gen_refuses_flags_it_would_ignore(small_cfg, tmp_path):
-    with pytest.raises(SystemExit) as exc:
-        main(["gen", "--config", small_cfg, "--format", "json", "--out", str(tmp_path / "g")])
-    assert exc.value.code == 2
-    assert not (tmp_path / "g").exists()
+    # gen writes fixed CSV files; tables1 reports rank ratios, not the index
+    for argv in (["gen", "--format", "json"], ["tables1", "--offset", "5"],
+                 ["tables1", "--scale", "3"]):
+        with pytest.raises(SystemExit) as exc:
+            main([argv[0], "--config", small_cfg, *argv[1:], "--out", str(tmp_path / "g")])
+        assert exc.value.code == 2
+        assert not (tmp_path / "g").exists()
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--labels", "aa"], "--labels does not apply to ptop --input"),
+        (["--labels", ""], "--labels does not apply to ptop --input"),
+        (["--seed", "0"], "--seed does not apply to ptop --input"),
+        (["--country", "USA"], "--country does not apply to ptop --config"),
+        (["--split", "domestic"], "--split does not apply to ptop --config"),
+        (["--meta", "nope.json"], "--meta does not apply to ptop --config"),
+        (["--skip-bad-rows"], "--skip-bad-rows does not apply to ptop --config"),
+    ],
+)
+@pytest.mark.parametrize("to_dir", [True, False], ids=["out", "stdout"])
+def test_ptop_refuses_the_other_inputs_flags(tmp_path, small_cfg, corpus_csv, capsys, flags,
+                                              message, to_dir):
+    source = ["--input", corpus_csv, "--country", "USA", "--split", "domestic"]
+    if message.endswith("--config"):
+        source = ["--config", small_cfg]
+    out = tmp_path / "out"
+    extra = ["--out", str(out)] if to_dir else []
+    assert main(["ptop", *source, *flags, *extra]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+    assert not out.exists()
 
 
 def test_unknown_command_is_usage_error():

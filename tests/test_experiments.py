@@ -18,12 +18,11 @@ from rankmetrics.experiments import (
     config_hash,
     extended_grid,
     nearest_mu_index,
-    parse_ranks,
-    rank_trace,
     run_fig1,
     run_fig2,
     run_fig3,
     run_fig4,
+    run_ptop,
     run_table_s1,
     sample_positions,
     select_99,
@@ -136,7 +135,7 @@ def test_fig1_rows_and_branches(world600):
         assert values[0] > values[1] > values[2]
     # every row's rank index recomputes from its stored ranks
     for row in report.rows:
-        rk = rk_from_rank1s(parse_ranks(row["rank1s"]))
+        rk = rk_from_rank1s([int(r) for r in row["rank1s"].split(";")])
         assert row["rk"] == pytest.approx(rk, rel=1e-9)
         assert row["gm_inv_rank1"] > row["gm_inv_offset_rank1"]
 
@@ -147,6 +146,18 @@ def test_fig1_deterministic():
     two = run_fig1(generate_ensemble(config))
     assert one.rows == two.rows
     assert one.config_hash == two.config_hash
+
+
+@pytest.mark.parametrize("tie_policy", ["ordinal", "competition"])
+def test_ptop_matches_fig1(small_ensemble, tie_policy):
+    fig1 = run_fig1(small_ensemble, tie_policy=tie_policy)
+    labels = ",".join(select_99(small_ensemble))
+    report = run_ptop(small_ensemble, (10, 0.1), labels=labels, tie_policy=tie_policy)
+    assert report.columns == ("label", "mu", "n", "ptop_10", "ptop_0.1", "rk")
+    assert [(r["label"], r["rk"], r["ptop_10"], r["ptop_0.1"]) for r in report.rows] == [
+        (r["label"], r["rk"], r["ptop_10_analytic"], r["ptop_0.1_analytic"]) for r in fig1.rows
+    ]
+    assert run_ptop(small_ensemble, (10, 0.1), tie_policy=tie_policy).rows == report.rows
 
 
 def test_fig2_partition(world600):
@@ -160,7 +171,7 @@ def test_fig2_partition(world600):
     assert min(tiers["medium"]) >= max(tiers["low"])
     for row in report.rows:
         assert row["rk"] == pytest.approx(
-            rk_from_rank1s(parse_ranks(row["rank1s"])), rel=1e-9
+            rk_from_rank1s([int(r) for r in row["rank1s"].split(";")]), rel=1e-9
         )
 
 
@@ -236,7 +247,7 @@ def test_nearest_mu_index():
 
 def test_single_series_trace_is_identity():
     world = build_world([CitationSeries("a", list(range(30, 0, -1)), origin=REAL)])
-    assert rank_trace(world, "a", 10) == [(i, i) for i in range(1, 11)]
+    assert world.top_rank1s("a", 10).tolist() == list(range(1, 11))
 
 
 def test_fig4_report():
@@ -246,7 +257,8 @@ def test_fig4_report():
         assert row["in_equiv_0.1"] == (0.5 <= row["rk"] <= 39.5)
         assert row["in_equiv_0.01"] == (1.0 <= row["rk"] <= 39.5)
         assert row["rk_over_ptop_0.1"] == pytest.approx(row["rk"] / row["ptop_0.1"], rel=1e-12)
-        assert row["rk"] == pytest.approx(rk_from_rank1s(parse_ranks(row["rank1s"])), rel=1e-9)
+        ranks = [int(r) for r in row["rank1s"].split(";")]
+        assert row["rk"] == pytest.approx(rk_from_rank1s(ranks), rel=1e-9)
     ratios = np.array([row["rk_over_ptop_0.1"] for row in report.rows])
     inside = np.array([row["in_equiv_0.1"] for row in report.rows])
     assert inside.any() and not inside.all()

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rankmetrics.errors import DataError
 from rankmetrics.indicators import RkResult, count_uncited, empirical_ptop, percentile_cutoff, rk_from_rank1s
 from rankmetrics.ingest import (
     COLLABORATIVE,
@@ -150,8 +151,10 @@ def test_world_ranks_tie_break_by_id():
 
 def test_world_ranks_reject_duplicate_ids():
     records = [record("a", 5, ["USA"]), record("b", 3, ["CHN"]), record("a", 1, ["JPN"])]
-    with pytest.raises(ValueError, match="duplicate id 'a'"):
-        corpus_world_ranks(records)
+    for call in (corpus_world_ranks, lambda r: split_country(r, "USA"),
+                 lambda r: assess(r, ["USA"])):
+        with pytest.raises(DataError, match="duplicate id 'a'"):
+            call(records)
 
 
 def test_single_country_corpus_reaches_max_rk():
