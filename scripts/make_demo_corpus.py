@@ -16,7 +16,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 import numpy as np
 
-from rankmetrics.ingest import CorpusMeta, assess, assessment_table, load_corpus
+from rankmetrics.cli import main as cli_main
 
 PROFILES = {  # country -> (mu, papers)
     "USA": (3.6, 1200),
@@ -65,17 +65,10 @@ def main():
     meta_path.write_text(json.dumps(meta, indent=1) + "\n")
     print(f"wrote {counter} records -> {corpus_path}")
 
-    loaded = load_corpus(corpus_path, CorpusMeta.from_json(meta_path))
-    assert not loaded.errors
-    rows = assessment_table(assess(loaded.records, codes))
-    header = ("country", "split", "p", "p0", "ptop10", "ptop10_over_p", "rk")
-    print(" | ".join(f"{h:>14s}" for h in header))
-    for row in rows:
-        cells = [row["country"], row["split"], row["p"], row["p0"], row["ptop10"]]
-        cells.append("" if row["ptop10_over_p"] == "" else f"{row['ptop10_over_p']:.3f}")
-        cells.append("" if row["rk"] == "" else f"{row['rk']:.2f}")
-        print(" | ".join(f"{str(c):>14s}" for c in cells))
+    # a malformed generated row fails the run: no --skip-bad-rows
+    return cli_main(["assess", "--input", str(corpus_path), "--meta", str(meta_path),
+                     "--countries", ",".join(codes)])
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

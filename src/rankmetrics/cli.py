@@ -10,6 +10,7 @@ reproduce it byte for byte.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -146,10 +147,7 @@ def load_run_config(args) -> synthdist.EnsembleConfig:
         raise DataError("--config is required for this command")
     config = synthdist.load_config(args.config)
     if args.seed is not None:
-        config = synthdist.EnsembleConfig(
-            mu_start=config.mu_start, mu_end=config.mu_end,
-            mu_count=config.mu_count, sizes=config.sizes, seed=args.seed,
-        )
+        config = dataclasses.replace(config, seed=args.seed)
     return config
 
 
@@ -174,7 +172,7 @@ def emit(report: experiments.ExperimentReport, args) -> int:
         for path in experiments.write_report(report, args.out, fmt=args.format):
             print(path)
     else:
-        table.write_table(sys.stdout, *report.table(args.format), args.format)
+        table.write_table(sys.stdout, *report.table(), args.format)
     return 0
 
 
@@ -216,7 +214,7 @@ def cmd_rank(args) -> int:
         "labels": labels, "top": args.top,
     }
     report = experiments.ExperimentReport(
-        "rank", params, rankcore.RANK_TABLE_COLUMNS, chunks=chunks
+        "rank", params, columns=rankcore.RANK_TABLE_COLUMNS, chunks=chunks
     )
     return emit(report, args)
 
@@ -234,7 +232,7 @@ def cmd_rk(args) -> int:
     records = load_corpus_or_fail(args)
     rows = ingest.assessment_table([corpus_unit(args, records)])
     params = corpus_parameters(args)
-    return emit(experiments.ExperimentReport("rk", params, ingest.ASSESSMENT_COLUMNS, rows), args)
+    return emit(experiments.ExperimentReport("rk", params, rows), args)
 
 
 def parse_x_list(text: str) -> list[float]:
@@ -244,9 +242,13 @@ def parse_x_list(text: str) -> list[float]:
         raise DataError(f"bad percentile list {text!r}") from exc
     if not xs:
         raise DataError("empty percentile list")
+    names = set()
     for x in xs:
         if not 0 < x <= 100:
             raise DataError(f"percentile must satisfy 0 < x <= 100, got {x:g}")
+        if f"{x:g}" in names:  # each cutoff names one ptop_{x:g} column
+            raise DataError(f"percentile {x:g} given twice")
+        names.add(f"{x:g}")
     return xs
 
 
@@ -286,9 +288,8 @@ def ptop_corpus(args, xs) -> int:
     for x in xs:
         row[f"ptop_{x:g}"] = ingest.top_count(unit.ranks, x, len(records))
     row["rk"] = "" if unit.rk is None else unit.rk.rk
-    columns = ["label", "p", "p0"] + [f"ptop_{x:g}" for x in xs] + ["rk"]
     params = corpus_parameters(args, x=xs)
-    return emit(experiments.ExperimentReport("ptop", params, tuple(columns), [row]), args)
+    return emit(experiments.ExperimentReport("ptop", params, [row]), args)
 
 
 def cmd_study(args) -> int:
@@ -320,9 +321,9 @@ def corpus_parameters(args, **extra) -> dict:
         "input": os.path.basename(args.input),
         "input_sha256": file_sha256(args.input),
         "tie_policy": args.tie_policy,
-        "k": getattr(args, "k", indicators.DEFAULT_K),
-        "offset": getattr(args, "offset", indicators.DEFAULT_OFFSET),
-        "scale": getattr(args, "scale", indicators.DEFAULT_SCALE),
+        "k": args.k,
+        "offset": args.offset,
+        "scale": args.scale,
     }
     if getattr(args, "country", None):
         params["country"] = args.country
@@ -350,9 +351,7 @@ def cmd_assess(args) -> int:
         scale=args.scale, tie_policy=args.tie_policy,
     )
     params = corpus_parameters(args, countries=countries)
-    report = experiments.ExperimentReport(
-        "assess", params, ingest.ASSESSMENT_COLUMNS, ingest.assessment_table(rows)
-    )
+    report = experiments.ExperimentReport("assess", params, ingest.assessment_table(rows))
     return emit(report, args)
 
 

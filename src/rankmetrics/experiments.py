@@ -70,32 +70,31 @@ def atomic_write_text(path, text: str) -> None:
 class ExperimentReport:
     """Tabular output of one study plus everything needed to reproduce it.
 
-    The table is `rows`, one dict per row, or, for an export too large to
-    hold as dicts, `chunks`: column chunks in `columns` order, consumed
-    once as they are written (see `table.write_table`).
+    The table is `rows`, one dict per row, whose first row's keys are the
+    columns of both formats; or, for an export too large to hold as dicts,
+    `chunks` in the order `columns` names, consumed once as they are
+    written (see `table.write_table`).
     """
 
     experiment_id: str
     parameters: dict
-    columns: tuple[str, ...]
     rows: list[dict] = field(default_factory=list)
-    config_hash: str = ""
+    columns: tuple[str, ...] = ()
     chunks: Iterable | None = None
+    config_hash: str = field(init=False)
 
     def __post_init__(self):
-        if self.chunks is None and not self.rows:
-            raise ValueError("a report must carry at least one row")
-        if not self.config_hash:
-            self.config_hash = config_hash(self.parameters)
+        if self.chunks is None:
+            if not self.rows:
+                raise ValueError("a report must carry at least one row")
+            self.columns = tuple(self.rows[0])
+        self.config_hash = config_hash(self.parameters)
 
-    def table(self, fmt: str):
-        """(names, chunks) to write in `fmt`.  Dict rows become one chunk
-        here; their JSON keeps each dict's own key order, as
-        ``json.dumps(rows)`` does, where CSV follows `columns`."""
+    def table(self):
+        """(columns, chunks) to write; dict rows become one chunk."""
         if self.chunks is not None:
             return self.columns, self.chunks
-        names = tuple(self.rows[0]) if fmt == "json" else self.columns
-        return names, [[[row[name] for row in self.rows] for name in names]]
+        return self.columns, [[[row[name] for row in self.rows] for name in self.columns]]
 
     def sidecar(self, row_count: int) -> dict:
         # no timestamp here: fixed-seed runs must emit identical bytes
@@ -115,7 +114,7 @@ def write_report(report: ExperimentReport, out_dir, fmt: str = "csv") -> list[st
     base = os.path.join(os.fspath(out_dir), f"{report.experiment_id}_{report.config_hash}")
     data_path = base + (".csv" if fmt == "csv" else ".rows.json")
     with atomic_open(data_path) as handle:
-        row_count = write_table(handle, *report.table(fmt), fmt)
+        row_count = write_table(handle, *report.table(), fmt)
     sidecar_path = base + ".json"
     sidecar = json.dumps(report.sidecar(row_count), indent=1, sort_keys=True)
     atomic_write_text(sidecar_path, sidecar + "\n")
@@ -190,12 +189,7 @@ def run_table_s1(
         ensemble.config, tie_policy, sample_size=sample_size, k=k,
         selection="evenly spaced over grid order, endpoints included",
     )
-    return ExperimentReport(
-        experiment_id="tables1",
-        parameters=params,
-        columns=("label", "mu", "n", "rank2", "rank1", "ratio", "gm_ratio"),
-        rows=rows,
-    )
+    return ExperimentReport(experiment_id="tables1", parameters=params, rows=rows)
 
 
 def select_99(ensemble: Ensemble, mu_picks: int = 33) -> list[str]:
@@ -246,15 +240,7 @@ def run_fig1(
             }
         )
     params = _base_parameters(ensemble.config, tie_policy, k=k, offset=offset, scale=scale)
-    return ExperimentReport(
-        experiment_id="fig1",
-        parameters=params,
-        columns=(
-            "label", "mu", "n", "gm_inv_rank1", "gm_inv_offset_rank1", "rk",
-            "ptop_10_analytic", "ptop_0.1_analytic", "rank1s",
-        ),
-        rows=rows,
-    )
+    return ExperimentReport(experiment_id="fig1", parameters=params, rows=rows)
 
 
 def run_fig2(
@@ -267,32 +253,30 @@ def run_fig2(
     """Stringency tiers: the 99 selected series split 33/33/33 by
     descending rank index, with expected counts for several percentiles."""
     world, units = _units(ensemble, select_99(ensemble), k, tie_policy)
-    entries = []
+    scored = []
     for spec, ranks in units:
-        entry = {
+        rk = rk_from_rank1s(ranks, offset=offset, scale=scale)
+        ptops = {f"ptop_{x:g}": analytic_ptop(spec, world, x).value for x in FIG2_PERCENTILES}
+        scored.append((rk, spec, ptops, ranks))
+    scored.sort(key=lambda e: (-e[0], e[1].label))
+    third = len(scored) // 3
+    rows = [
+        {
             "label": spec.label,
             "mu": spec.mu,
             "n": spec.n,
-            "rk": rk_from_rank1s(ranks, offset=offset, scale=scale),
+            "tier": "high" if i < third else ("medium" if i < 2 * third else "low"),
+            "rk": rk,
+            **ptops,
             "rank1s": _join_ranks(ranks),
         }
-        for x in FIG2_PERCENTILES:
-            entry[f"ptop_{x:g}"] = analytic_ptop(spec, world, x).value
-        entries.append(entry)
-    entries.sort(key=lambda e: (-e["rk"], e["label"]))
-    third = len(entries) // 3
-    for i, entry in enumerate(entries):
-        entry["tier"] = "high" if i < third else ("medium" if i < 2 * third else "low")
-    columns = ["label", "mu", "n", "tier", "rk"]
-    columns += [f"ptop_{x:g}" for x in FIG2_PERCENTILES]
-    columns.append("rank1s")
+        for i, (rk, spec, ptops, ranks) in enumerate(scored)
+    ]
     params = _base_parameters(
         ensemble.config, tie_policy, k=k, offset=offset, scale=scale,
         percentiles=list(FIG2_PERCENTILES),
     )
-    return ExperimentReport(
-        experiment_id="fig2", parameters=params, columns=tuple(columns), rows=entries
-    )
+    return ExperimentReport(experiment_id="fig2", parameters=params, rows=rows)
 
 
 def run_ptop(
@@ -318,11 +302,10 @@ def run_ptop(
             row[f"ptop_{x:g}"] = analytic_ptop(spec, world, x).value
         row["rk"] = rk_from_rank1s(ranks, offset=offset, scale=scale)
         rows.append(row)
-    columns = ["label", "mu", "n"] + [f"ptop_{x:g}" for x in xs] + ["rk"]
     params = _base_parameters(
         ensemble.config, tie_policy, x=list(xs), labels=labels, k=k, offset=offset, scale=scale
     )
-    return ExperimentReport("ptop", params, tuple(columns), rows)
+    return ExperimentReport("ptop", params, rows)
 
 
 def nearest_mu_index(config: EnsembleConfig, target: float) -> int:
@@ -368,12 +351,7 @@ def run_fig3(
         mu_targets=list(mu_targets), size_pair=list(size_pair),
         selection="two mu targets x two sizes, nearest grid mu",
     )
-    return ExperimentReport(
-        experiment_id="fig3",
-        parameters=params,
-        columns=("label", "mu", "n", "rank2", "rank1", "rk"),
-        rows=rows,
-    )
+    return ExperimentReport(experiment_id="fig3", parameters=params, rows=rows)
 
 
 def extended_grid(seed: int) -> EnsembleConfig:
@@ -420,12 +398,4 @@ def run_fig4(
         equiv_range_01=list(EQUIV_RANGE_01), equiv_range_001=list(EQUIV_RANGE_001),
         note="combined-size series sampled directly at their mu",
     )
-    return ExperimentReport(
-        experiment_id="fig4",
-        parameters=params,
-        columns=(
-            "label", "mu", "n", "rk", "ptop_0.1", "ptop_0.01",
-            "rk_over_ptop_0.1", "rk_over_ptop_0.01", "in_equiv_0.1", "in_equiv_0.01", "rank1s",
-        ),
-        rows=rows,
-    )
+    return ExperimentReport(experiment_id="fig4", parameters=params, rows=rows)

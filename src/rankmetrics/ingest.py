@@ -466,9 +466,6 @@ def top_count(ranks: np.ndarray, x: float, world_size: int) -> int:
     return int(np.searchsorted(ranks, percentile_cutoff(x, world_size), side="right"))
 
 
-ASSESSMENT_COLUMNS = ("country", "split", "p", "p0", "ptop10", "ptop10_over_p", "rk", "rk_status")
-
-
 def assessment_table(rows: list[AssessmentRow]) -> list[dict]:
     """Flatten assessment rows for CSV/JSON emission."""
     out = []

@@ -136,10 +136,6 @@ class EnsembleConfig:
     def total_papers(self) -> int:
         return self.mu_count * sum(self.sizes)
 
-    @property
-    def series_count(self) -> int:
-        return self.mu_count * len(self.sizes)
-
     def mu_values(self) -> np.ndarray:
         if self.mu_count == 1:
             if self.mu_start != self.mu_end:

@@ -32,6 +32,8 @@ CORPUS = (
     + "\n"
 )
 
+SMALL_GRID = str(Path(__file__).resolve().parents[1] / "configs" / "small_grid.cfg")
+
 # Integer counts 0..12 over 400 papers: blocks of about 31 tied papers,
 # cut by the top-x% cutoffs, and ids in an order other than row order.
 TIED_CORPUS = "id,year,citations,countries\n" + "".join(
@@ -153,6 +155,37 @@ def test_ptop_synthetic_table(tmp_path, small_cfg, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "label,mu,n,ptop_10,ptop_0.1,rk"
     assert len(lines) == 4
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["tables1", "--config", SMALL_GRID],
+        ["fig1", "--config", SMALL_GRID],
+        ["fig2", "--config", SMALL_GRID],
+        ["fig3", "--config", SMALL_GRID],
+        ["fig4", "--seed", "42"],
+        ["ptop", "--config", SMALL_GRID, "--labels", "aa,cu"],
+        ["ptop", "--input", "CORPUS", "--country", "USA", "--split", "domestic"],
+        ["rk", "--input", "CORPUS", "--country", "CHN", "--split", "collaborative"],
+        ["assess", "--input", "CORPUS", "--countries", "USA,CHN"],
+    ],
+    ids=["tables1", "fig1", "fig2", "fig3", "fig4", "ptop-config", "ptop-input", "rk", "assess"],
+)
+def test_json_keys_csv_header_and_sidecar_name_the_same_columns(tmp_path, corpus_csv, capsys,
+                                                                 argv):
+    argv = [corpus_csv if arg == "CORPUS" else arg for arg in argv]
+    named = []
+    for fmt in ("csv", "json"):
+        out = tmp_path / fmt
+        assert main([*argv, "--format", fmt, "--out", str(out)]) == 0
+        data, sidecar = (Path(path) for path in capsys.readouterr().out.splitlines())
+        if fmt == "csv":
+            named.append(read_lines(data)[0].split(","))
+        else:
+            named += [list(row) for row in json.loads(data.read_text())]
+        named.append(json.loads(sidecar.read_text())["columns"])
+    assert all(columns == named[0] for columns in named)
 
 
 def test_fig4_file_shape(tmp_path, capsys):
@@ -360,6 +393,9 @@ def test_meaningless_index_flags_are_data_errors(tmp_path, small_cfg, capsys, fl
         (["ptop", "--labels", "aa,zz", "--x", "0.0001"],
          "top 0.0001% of a world of 46200 papers holds no entries"),
         (["ptop", "--labels", "zz,aa", "--x", "0.0001"], "unknown series label 'zz'"),
+        # each cutoff names one ptop_{x:g} column
+        (["ptop", "--x", "10,10"], "percentile 10 given twice"),
+        (["ptop", "--x", "10,1e1"], "percentile 10 given twice"),
     ],
 )
 @pytest.mark.parametrize("to_dir", [True, False], ids=["out", "stdout"])
@@ -369,6 +405,17 @@ def test_out_of_range_selections_are_data_errors(tmp_path, small_cfg, capsys, ar
     assert main([argv[0], "--config", small_cfg, *argv[1:], *extra]) == 1
     captured = capsys.readouterr()
     assert f"error: {message}" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_ptop_corpus_refuses_a_repeated_cutoff(tmp_path, corpus_csv, capsys):
+    out = tmp_path / "out"
+    argv = ["ptop", "--input", corpus_csv, "--country", "USA", "--split", "domestic",
+            "--x", "0.1,1,.1", "--out", str(out)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: percentile 0.1 given twice\n"
     assert captured.out == ""
     assert not out.exists()
 

@@ -295,7 +295,7 @@ def test_atomic_write_replaces(tmp_path):
 
 def test_report_requires_rows():
     with pytest.raises(ValueError):
-        ExperimentReport("x", {}, ("a",), [])
+        ExperimentReport("x", {}, [])
 
 
 def test_failed_stream_leaves_no_file(tmp_path):
@@ -305,7 +305,7 @@ def test_failed_stream_leaves_no_file(tmp_path):
 
     out = tmp_path / "out"
     for fmt in ("csv", "json"):
-        report = ExperimentReport("x", {"a": 1}, ("n", "v"), chunks=chunks())
+        report = ExperimentReport("x", {"a": 1}, columns=("n", "v"), chunks=chunks())
         with pytest.raises(RuntimeError, match="partway"):
             write_report(report, out, fmt=fmt)
         assert os.listdir(out) == []
