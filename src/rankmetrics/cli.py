@@ -127,19 +127,37 @@ def check_flags(args) -> None:
     """Refuse flags that have no meaning: the index needs at least one
     paper (--k), a finite offset >= 0 and scale > 0; a rank table at
     least one row per unit (--top); a sample table at least one series
-    (--sample-size); a label list at least one label (--labels)."""
+    (--sample-size)."""
     for name in ("k", "top", "sample_size"):
         value = getattr(args, name, None)
         if value is not None and value < 1:
             raise DataError(f"--{name.replace('_', '-')} must be >= 1, got {value}")
-    if getattr(args, "labels", None) and not args.labels.replace(",", "").strip():
-        raise DataError("--labels names no label")
     if not hasattr(args, "offset"):
         return
     if not (math.isfinite(args.offset) and args.offset >= 0):
         raise DataError(f"--offset must be a finite number >= 0, got {args.offset}")
     if not (math.isfinite(args.scale) and args.scale > 0):
         raise DataError(f"--scale must be a finite number > 0, got {args.scale}")
+
+
+def parse_list(source: str, tokens, noun: str) -> list[str]:
+    """The entries of a list input, each stripped, blanks dropped; a
+    repeated entry or an empty list is refused with `source` named."""
+    entries = [token.strip() for token in tokens if token.strip()]
+    if not entries:
+        raise DataError(f"{source} names no {noun}")
+    seen = set()
+    for entry in entries:
+        if entry in seen:
+            raise DataError(f"{source} names {entry} twice")
+        seen.add(entry)
+    return entries
+
+
+def parse_labels(args) -> list[str] | None:
+    if args.labels is None:
+        return None
+    return parse_list("--labels", args.labels.split(","), "label")
 
 
 def load_run_config(args) -> synthdist.EnsembleConfig:
@@ -205,9 +223,9 @@ def cmd_gen(args) -> int:
 
 def cmd_rank(args) -> int:
     config = load_run_config(args)
+    labels = parse_labels(args)
     ensemble = synthdist.generate_ensemble(config)
     world = rankcore.build_world(list(ensemble.series), tie_policy=args.tie_policy)
-    labels = args.labels.split(",") if args.labels else None
     chunks = rankcore.rank_table_chunks(world, labels=labels, top=args.top)
     params = {
         "config": config.to_dict(), "tie_policy": args.tie_policy,
@@ -270,10 +288,12 @@ def cmd_ptop(args) -> int:
             raise DataError(f"--{name.replace('_', '-')} does not apply to ptop {mode}")
     if args.input:
         return ptop_corpus(args, xs)
-    ensemble = synthdist.generate_ensemble(load_run_config(args))
+    config = load_run_config(args)
+    labels = parse_labels(args)
+    ensemble = synthdist.generate_ensemble(config)
     report = experiments.run_ptop(
-        ensemble, xs, labels=args.labels, k=args.k, offset=args.offset,
-        scale=args.scale, tie_policy=args.tie_policy,
+        ensemble, xs, labels=",".join(labels) if labels else None, k=args.k,
+        offset=args.offset, scale=args.scale, tie_policy=args.tie_policy,
     )
     return emit(report, args)
 
@@ -334,17 +354,14 @@ def corpus_parameters(args, **extra) -> dict:
 
 
 def cmd_assess(args) -> int:
-    if args.countries:
-        countries = [c.strip() for c in args.countries.split(",") if c.strip()]
-        source = "--countries"
+    if args.countries is not None:
+        countries = parse_list("--countries", args.countries.split(","), "country")
     elif args.countries_file:
-        lines = [line.strip() for line in read_text(args.countries_file).splitlines()]
-        countries = [line for line in lines if line and not line.startswith("#")]
-        source = args.countries_file
+        lines = read_text(args.countries_file).splitlines()
+        kept = (line for line in lines if not line.strip().startswith("#"))
+        countries = parse_list(args.countries_file, kept, "country")
     else:
         raise DataError("assess needs --countries or --countries-file")
-    if not countries:
-        raise DataError(f"{source} names no country")
     records = load_corpus_or_fail(args)
     rows = ingest.assess(
         records, countries, k=args.k, offset=args.offset,

@@ -107,8 +107,8 @@ class RankQuery:
         self._codes = {label: code for code, label in enumerate(self.labels)}
         ordered = [self._series[label] for label in self.labels]
         self._sizes = [s.n for s in ordered]
-        self._values = np.concatenate([s.values for s in ordered])
-        self._asc = np.sort(self._values)
+        self._asc = np.concatenate([s.values for s in ordered])
+        self._asc.sort()
 
     @property
     def size(self) -> int:
@@ -159,7 +159,8 @@ class RankQuery:
         query that meets a tie: a stable sort of the label-ordered values
         keeps each run in label order."""
         codes = np.repeat(np.arange(len(self._sizes)), self._sizes)
-        codes = codes[np.argsort(self._values, kind="stable")]
+        values = np.concatenate([self._series[label].values for label in self.labels])
+        codes = codes[np.argsort(values, kind="stable")]
         runs = np.r_[0, np.cumsum(self._asc[1:] != self._asc[:-1])]
         return runs * len(self._sizes) + codes
 

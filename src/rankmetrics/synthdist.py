@@ -8,6 +8,7 @@ per (mu, size) cell, with labels assigned in grid order (aa, ab, ...).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -97,6 +98,14 @@ class CitationSeries:
                 raise ValueError("real citation counts must be integers >= 0")
         values.flags.writeable = False
         self.values = values
+
+    @classmethod
+    def _checked(cls, label: str, values: np.ndarray) -> CitationSeries:
+        """A synthetic series over a read-only array its caller has already
+        checked finite and > 0: no copy, no second validation."""
+        series = object.__new__(cls)
+        series.label, series.values, series.origin = label, values, SYNTHETIC
+        return series
 
     @property
     def n(self) -> int:
@@ -201,6 +210,14 @@ def build_grid(config: EnsembleConfig) -> list[LognormalSpec]:
     return specs
 
 
+def _draw_log_values(spec: LognormalSpec, seed: int, stream_id: int, out: np.ndarray) -> None:
+    """Fill `out` with mu + sigma*z, z drawn from the stream (seed, stream_id)."""
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, stream_id))))
+    rng.standard_normal(out=out)
+    out *= spec.sigma
+    out += spec.mu
+
+
 def sample_series(spec: LognormalSpec, seed: int, stream_id: int) -> CitationSeries:
     """Draw `spec.n` values exp(mu + sigma*z) from the stream (seed, stream_id).
 
@@ -211,16 +228,21 @@ def sample_series(spec: LognormalSpec, seed: int, stream_id: int) -> CitationSer
         raise ValueError("seed must be an unsigned 64-bit integer")
     if stream_id < 0:
         raise ValueError("stream_id must be >= 0")
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, stream_id))))
-    z = rng.standard_normal(spec.n)
+    values = np.empty(spec.n)
+    _draw_log_values(spec, seed, stream_id, values)
     with np.errstate(over="ignore"):  # an overflow gives inf, which CitationSeries refuses
-        values = np.exp(spec.mu + spec.sigma * z)
+        np.exp(values, out=values)
     try:
         return CitationSeries(spec.label, values, origin=SYNTHETIC)
     except ValueError as exc:
         raise GridError(
             f"series {spec.label}: mu = {spec.mu} puts values outside float range ({exc})"
         ) from None
+
+
+def _positive_finite(values: np.ndarray) -> bool:
+    # NaN fails both comparisons
+    return bool(values.min() > 0 and values.max() < math.inf)
 
 
 def combine_series(parts: list[CitationSeries], new_label: str) -> CitationSeries:
@@ -253,10 +275,33 @@ class Ensemble:
 
 
 def generate_ensemble(config: EnsembleConfig) -> Ensemble:
-    """Build and sample the whole grid; stream id = grid index of the spec."""
+    """Build and sample the whole grid; stream id = grid index of the spec.
+
+    Every series is drawn into its slice of one buffer, which then takes
+    one exp and one range check; each series is a read-only view of it.
+    """
     specs = build_grid(config)
-    series = [sample_series(spec, config.seed, i) for i, spec in enumerate(specs)]
-    return Ensemble(config=config, specs=tuple(specs), series=tuple(series))
+    try:
+        values = np.empty(config.total_papers)
+    except (MemoryError, ValueError):  # ValueError: the byte count overflows
+        raise GridError(
+            f"a grid of {config.total_papers} papers is too large to allocate"
+        ) from None
+    ends = itertools.accumulate(spec.n for spec in specs)
+    spans = [slice(end - spec.n, end) for spec, end in zip(specs, ends)]
+    for i, (spec, span) in enumerate(zip(specs, spans)):
+        _draw_log_values(spec, config.seed, i, values[span])
+    with np.errstate(over="ignore"):  # an overflow gives inf, refused below
+        np.exp(values, out=values)
+    if not _positive_finite(values):
+        for i, (spec, span) in enumerate(zip(specs, spans)):
+            if not _positive_finite(values[span]):
+                sample_series(spec, config.seed, i)  # raises this series' GridError
+    values.flags.writeable = False  # and so is every view taken from here on
+    series = tuple(
+        CitationSeries._checked(spec.label, values[span]) for spec, span in zip(specs, spans)
+    )
+    return Ensemble(config=config, specs=tuple(specs), series=series)
 
 
 def write_specs_csv(specs, fileobj) -> None:

@@ -265,6 +265,44 @@ def test_assess_without_countries_is_data_error(tmp_path, corpus_csv, capsys, ar
     assert not (tmp_path / "out").exists()
 
 
+def test_label_lists_are_stripped(small_cfg, capsys):
+    assert main(["rank", "--config", small_cfg, "--labels", "aa,ab", "--top", "2"]) == 0
+    expected = capsys.readouterr().out
+    assert main(["rank", "--config", small_cfg, "--labels", " aa,, ab ,", "--top", "2"]) == 0
+    assert capsys.readouterr().out == expected
+    assert main(["ptop", "--config", small_cfg, "--labels", "aa,ab"]) == 0
+    expected = capsys.readouterr().out
+    assert main(["ptop", "--config", small_cfg, "--labels", "aa , ab,"]) == 0
+    assert capsys.readouterr().out == expected
+
+
+def test_assess_refuses_a_repeated_country(tmp_path, corpus_csv, capsys):
+    countries = tmp_path / "countries.txt"
+    countries.write_text("# twice\nUSA\nCHN\n USA \n")
+    for argv, source in (
+        (["--countries", "USA, CHN,USA"], "--countries"),
+        (["--countries-file", str(countries)], str(countries)),
+    ):
+        out = tmp_path / "out"
+        assert main(["assess", "--input", corpus_csv, *argv, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {source} names USA twice\n"
+        assert captured.out == ""
+        assert not out.exists()
+
+
+def test_grid_too_large_to_allocate_is_a_data_error(tmp_path, capsys):
+    # the byte count of 2**61 values overflows, so nothing is allocated
+    path = tmp_path / "huge.cfg"
+    path.write_text(f"mu_start = 3.0\nmu_end = 3.0\nmu_count = 1\nsizes = {2**61}\nseed = 1\n")
+    out = tmp_path / "out"
+    assert main(["gen", "--config", str(path), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: a grid of {2**61} papers is too large to allocate\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "meta, bad",
     [
@@ -396,6 +434,11 @@ def test_meaningless_index_flags_are_data_errors(tmp_path, small_cfg, capsys, fl
         # each cutoff names one ptop_{x:g} column
         (["ptop", "--x", "10,10"], "percentile 10 given twice"),
         (["ptop", "--x", "10,1e1"], "percentile 10 given twice"),
+        # every label list is stripped, drops blanks and refuses repeats
+        (["rank", "--labels", "aa,aa"], "--labels names aa twice"),
+        (["ptop", "--labels", "aa, ab,aa "], "--labels names aa twice"),
+        (["rank", "--labels", ""], "--labels names no label"),
+        (["ptop", "--labels", " , "], "--labels names no label"),
     ],
 )
 @pytest.mark.parametrize("to_dir", [True, False], ids=["out", "stdout"])

@@ -156,6 +156,55 @@ def test_ensemble_reproducible_and_order_free():
         assert s1.values.tobytes() == s2.values.tobytes() == reverse[s1.label].values.tobytes()
 
 
+def test_flat_ensemble_matches_per_spec_sampling():
+    # 720 series: labels run to three letters, so sorted label order is no
+    # longer grid order, and the first size column holds one paper
+    config = EnsembleConfig(3.0, -3.0, 240, (1, 7, 3), seed=2**63 + 11)
+    ensemble = generate_ensemble(config)
+    assert len(ensemble.series) == 720
+    assert ensemble.labels[676] == "aaa" and sorted(ensemble.labels) != ensemble.labels
+    for i, (spec, series) in enumerate(zip(ensemble.specs, ensemble.series)):
+        alone = sample_series(spec, config.seed, i)
+        assert series.label == alone.label == spec.label
+        assert series.origin == SYNTHETIC
+        assert series.values.tobytes() == alone.values.tobytes()
+
+
+@pytest.mark.parametrize(
+    "mu, cause",
+    [(800.0, "citation values must be finite"),
+     (-800.0, "synthetic citation values must be > 0")],
+)
+def test_out_of_range_mu_keeps_its_grid_error(mu, cause):
+    message = f"series aa: mu = {mu} puts values outside float range ({cause})"
+    with pytest.raises(GridError) as exc:
+        generate_ensemble(EnsembleConfig(mu, mu, 1, (4, 1), seed=3))
+    assert str(exc.value) == message
+    with pytest.raises(GridError) as exc:
+        sample_series(LognormalSpec("aa", mu, 1.1, 4), 3, 0)
+    assert str(exc.value) == message
+
+
+def test_ensemble_names_its_first_out_of_range_series():
+    # aa and ab sample fine at mu = 2; ac is the first series at mu = 800
+    config = EnsembleConfig(2.0, 800.0, 2, (4, 1), seed=3)
+    with pytest.raises(GridError) as exc:
+        generate_ensemble(config)
+    assert str(exc.value) == (
+        "series ac: mu = 800.0 puts values outside float range (citation values must be finite)"
+    )
+
+
+def test_ensemble_series_are_read_only():
+    ensemble = generate_ensemble(EnsembleConfig(4.0, 2.0, 5, (30, 1), seed=9))
+    for series in ensemble.series:
+        assert not series.values.flags.writeable
+        with pytest.raises(ValueError):
+            series.values[0] = 1.0
+        with pytest.raises(ValueError):
+            series.values.flags.writeable = True
+
+
 def test_series_validation():
     with pytest.raises(ValueError):
         CitationSeries("a", [1.0, 0.0], origin=SYNTHETIC)
