@@ -224,6 +224,11 @@ def cmd_gen(args) -> int:
 def cmd_rank(args) -> int:
     config = load_run_config(args)
     labels = parse_labels(args)
+    if labels is not None:  # the grid names every label: refuse one before sampling
+        known = {spec.label for spec in synthdist.build_grid(config)}
+        for label in labels:
+            if label not in known:
+                raise rankcore.UnknownLabelError(label)
     ensemble = synthdist.generate_ensemble(config)
     world = rankcore.build_world(list(ensemble.series), tie_policy=args.tie_policy)
     chunks = rankcore.rank_table_chunks(world, labels=labels, top=args.top)

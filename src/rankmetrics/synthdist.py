@@ -8,8 +8,10 @@ per (mu, size) cell, with labels assigned in grid order (aa, ab, ...).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -210,9 +212,107 @@ def build_grid(config: EnsembleConfig) -> list[LognormalSpec]:
     return specs
 
 
-def _draw_log_values(spec: LognormalSpec, seed: int, stream_id: int, out: np.ndarray) -> None:
-    """Fill `out` with mu + sigma*z, z drawn from the stream (seed, stream_id)."""
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, stream_id))))
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx): a 4-word pool,
+# `hashmix` constants A, `mix` multipliers, and output-hash constants B
+_POOL_SIZE = 4
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_XSHIFT = np.uint32(16)
+
+
+def _hash_constants(init: int, mult: int, count: int) -> list:
+    """`count` + 1 successive hash constants: init, init*mult, ... (mod 2**32)."""
+    constants = [init]
+    for _ in range(count):
+        constants.append(constants[-1] * mult & _MASK32)
+    return [np.uint32(c) for c in constants]
+
+
+def _uint32_words(n: int) -> list[int]:
+    """`n` >= 0 as SeedSequence reads it: little-endian 32-bit words, [0] for 0."""
+    words = [n & _MASK32]
+    while n := n >> 32:
+        words.append(n & _MASK32)
+    return words
+
+
+def _stream_states(seed: int, stream_ids) -> np.ndarray:
+    """Row r is `SeedSequence((seed, stream_ids[r])).generate_state(4, np.uint64)`:
+    numpy's hash, run for every stream at once in uint32 arithmetic."""
+    seed_words = _uint32_words(seed)
+    id_width = len(_uint32_words(max(stream_ids)))
+    ids = np.array(stream_ids, dtype=np.uint64 if id_width <= 2 else object)
+    shifted = [ids >> (32 * k) for k in range(id_width)]
+    # an id's entropy is 1 word plus 1 per nonzero shift past the first; the 0
+    # words past a shorter id's end fill the pool as SeedSequence fills it,
+    # and past the pool they are skipped (`lengths`)
+    lengths = len(seed_words) + 1 + sum(s != 0 for s in shifted[1:])
+    entropy = [np.full(ids.size, w, np.uint32) for w in seed_words]
+    entropy += [(s & _MASK32).astype(np.uint32) for s in shifted]
+    entropy += [np.zeros(ids.size, np.uint32)] * (_POOL_SIZE - len(entropy))
+    # 4 fills, 12 cross-mixes, then 4 per word past the pool
+    calls = _POOL_SIZE * len(entropy)
+    hash_a = itertools.pairwise(_hash_constants(_INIT_A, _MULT_A, calls))
+
+    def hashmix(value):
+        xor, mult = next(hash_a)
+        value = (value ^ xor) * mult
+        return value ^ (value >> _XSHIFT)
+
+    def mix(x, y):
+        result = _MIX_MULT_L * x - _MIX_MULT_R * y
+        return result ^ (result >> _XSHIFT)
+
+    pool = [hashmix(word) for word in entropy[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    # entropy past the pool is mixed into every pool word, for the streams that have it
+    for k in range(_POOL_SIZE, len(entropy)):
+        has_word = lengths > k
+        for dst in range(_POOL_SIZE):
+            pool[dst] = np.where(has_word, mix(pool[dst], hashmix(entropy[k])), pool[dst])
+    state = np.empty((ids.size, 8), np.uint32)
+    hash_b = itertools.pairwise(_hash_constants(_INIT_B, _MULT_B, 8))
+    for i, (xor, mult) in enumerate(hash_b):
+        value = (pool[i % _POOL_SIZE] ^ xor) * mult
+        state[:, i] = value ^ (value >> _XSHIFT)
+    # SeedSequence pairs its uint32 words into uint64s in little-endian order
+    return state.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
+
+
+@functools.cache
+def _preset_seed_class():
+    """A seed sequence that hands PCG64 four precomputed words, so PCG64's
+    own seeding still runs.  Built on first use: importing the package
+    does not load numpy.random."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class PresetSeedSequence(ISeedSequence):
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != 4 or dtype is not np.uint64:
+                raise ValueError("a preset seed sequence holds exactly 4 uint64 words")
+            return self.words
+
+    return PresetSeedSequence
+
+
+def _stream_generators(seed: int, stream_ids):
+    """The generators of the streams (seed, i) for i in `stream_ids`, in order:
+    each draws what `Generator(PCG64(SeedSequence((seed, i))))` draws."""
+    preset = _preset_seed_class()
+    Generator, PCG64 = np.random.Generator, np.random.PCG64
+    return (Generator(PCG64(preset(words))) for words in _stream_states(seed, stream_ids))
+
+
+def _draw_log_values(rng, spec: LognormalSpec, out: np.ndarray) -> None:
+    """Fill `out` with mu + sigma*z, z drawn from `rng`."""
     rng.standard_normal(out=out)
     out *= spec.sigma
     out += spec.mu
@@ -226,10 +326,12 @@ def sample_series(spec: LognormalSpec, seed: int, stream_id: int) -> CitationSer
     """
     if not (isinstance(seed, int) and 0 <= seed < 2**64):
         raise ValueError("seed must be an unsigned 64-bit integer")
+    stream_id = operator.index(stream_id)
     if stream_id < 0:
         raise ValueError("stream_id must be >= 0")
     values = np.empty(spec.n)
-    _draw_log_values(spec, seed, stream_id, values)
+    (rng,) = _stream_generators(seed, [stream_id])
+    _draw_log_values(rng, spec, values)
     with np.errstate(over="ignore"):  # an overflow gives inf, which CitationSeries refuses
         np.exp(values, out=values)
     try:
@@ -277,8 +379,9 @@ class Ensemble:
 def generate_ensemble(config: EnsembleConfig) -> Ensemble:
     """Build and sample the whole grid; stream id = grid index of the spec.
 
-    Every series is drawn into its slice of one buffer, which then takes
-    one exp and one range check; each series is a read-only view of it.
+    All streams are seeded in one pass.  Every series is drawn into its
+    slice of one buffer, which then takes one exp and one range check;
+    each series is a read-only view of it.
     """
     specs = build_grid(config)
     try:
@@ -289,8 +392,9 @@ def generate_ensemble(config: EnsembleConfig) -> Ensemble:
         ) from None
     ends = itertools.accumulate(spec.n for spec in specs)
     spans = [slice(end - spec.n, end) for spec, end in zip(specs, ends)]
-    for i, (spec, span) in enumerate(zip(specs, spans)):
-        _draw_log_values(spec, config.seed, i, values[span])
+    rngs = _stream_generators(config.seed, range(len(specs)))
+    for rng, spec, span in zip(rngs, specs, spans):
+        _draw_log_values(rng, spec, values[span])
     with np.errstate(over="ignore"):  # an overflow gives inf, refused below
         np.exp(values, out=values)
     if not _positive_finite(values):

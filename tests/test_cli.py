@@ -5,15 +5,18 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 import tempfile
 import warnings
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import rankmetrics
 from rankmetrics import experiments, synthdist
 from rankmetrics.cli import build_parser, main
 from rankmetrics.ingest import corpus_world_ranks, load_corpus
@@ -387,6 +390,36 @@ def test_study_commands_check_out_before_sampling(small_cfg, capsys, monkeypatch
         assert capsys.readouterr().err == f"error: {argv[0]} requires --out\n"
 
 
+def test_rank_checks_labels_before_sampling(tmp_path, small_cfg, capsys, monkeypatch):
+    # a grid whose sampling fails still reports the unknown label first
+    mu800 = tmp_path / "mu800.cfg"
+    mu800.write_text(SMALL_CFG.replace("mu_start = 4.0", "mu_start = 800"))
+    assert main(["rank", "--config", str(mu800), "--labels", "aa,zz"]) == 1
+    assert capsys.readouterr().err == "error: unknown series label 'zz'\n"
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the ensemble was sampled before --labels was checked")
+
+    monkeypatch.setattr(synthdist, "generate_ensemble", unreachable)
+    out = tmp_path / "out"
+    assert main(["rank", "--config", small_cfg, "--labels", "aa,zzz", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: unknown series label 'zzz'\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_importing_the_cli_leaves_numpy_random_unloaded():
+    # the stream seeding loads numpy.random on first use, not at import
+    code = "import sys, rankmetrics.cli; print(sorted(m for m in sys.modules if 'numpy.random' in m))"
+    env = dict(os.environ)
+    src = str(Path(rankmetrics.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, check=True)
+    assert result.stdout == "[]\n"
+
+
 def test_oversized_citation_count_is_row_error(tmp_path, capsys):
     path = tmp_path / "big.csv"
     path.write_text(f"id,year,citations,countries\np1,2015,5,USA\np2,2015,{'9' * 401},USA\n")
@@ -549,9 +582,10 @@ def test_no_temp_leftovers(tmp_path, small_cfg, capsys):
     capsys.readouterr()
 
 
-# Input files for the argv fuzz test: a 33x3 grid small enough to sample in
-# a few milliseconds, and corpora, sidecars and country lists with planted
-# defects.  Each flag that names a file draws one of these by key.
+# Input files for the argv fuzz test: a 33x3 grid and a 2x2 grid small
+# enough to sample in a few milliseconds, and corpora, sidecars and
+# country lists with planted defects.  Each flag that names a file draws
+# one of these by key.
 FUZZ_FILES = {
     "grid.cfg": SMALL_CFG.replace("sizes = 800,400,200", "sizes = 14,12,10").encode(),
     "nan.cfg": SMALL_CFG.replace("mu_start = 4.0", "mu_start = nan").encode(),
@@ -574,6 +608,8 @@ FUZZ_FILES = {
     "countries.txt": b"# assess these\nUSA\n\nCHN\n",
     "nocountries.txt": b"# none\n",
     "latin1.txt": b"USA\n\xe9\n",
+    # 2 mu values x sizes 800 and 200: the smallest grid fig3 runs on, 2,000 papers
+    "fig3.cfg": b"mu_start = 4.0\nmu_end = 2.0\nmu_count = 2\nsizes = 800,200\nseed = 7\n",
 }
 FILE_FLAGS = {
     "config": [n for n in FUZZ_FILES if n.endswith(".cfg")],
@@ -647,8 +683,20 @@ def fuzz_dir(tmp_path_factory):
     return base
 
 
+# the fig3 grid drawn together with good values for every other flag
+GOOD_STUDY_ARGVS = [
+    [command, "--config", "fig3.cfg", *extra, "--seed", seed, "--out", "out"]
+    for command, extra in (("fig3", []), ("tables1", ["--sample-size", "1"]))
+    for seed in ("0", "7")
+]
+
+
 @settings(max_examples=250, deadline=None, derandomize=True)
 @given(argv=fuzz_argv())
+@example(argv=GOOD_STUDY_ARGVS[0])
+@example(argv=GOOD_STUDY_ARGVS[1])
+@example(argv=GOOD_STUDY_ARGVS[2])
+@example(argv=GOOD_STUDY_ARGVS[3])
 def test_fuzzed_argv_exits_with_a_diagnosis(fuzz_dir, argv):
     """Any argv the parser's own flags can form, over defective inputs,
     exits 0, 1 or 2 and raises nothing else.  Exit 1 ends with one
@@ -673,3 +721,14 @@ def test_fuzzed_argv_exits_with_a_diagnosis(fuzz_dir, argv):
         assert not out.exists(), argv
         assert stdout.getvalue() == "", argv
     assert (fuzz_dir / "blocker").read_text() == "a file, not a directory"
+
+
+@pytest.mark.parametrize("argv", GOOD_STUDY_ARGVS, ids=" ".join)
+def test_fuzz_grid_runs_the_studies(fuzz_dir, tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    named = {"out": str(out), "fig3.cfg": str(fuzz_dir / "fig3.cfg")}
+    assert main([named.get(token, token) for token in argv]) == 0
+    written = sorted(p.name for p in out.iterdir())
+    assert [name.rsplit(".", 1)[1] for name in written] == ["csv", "json"]
+    assert all(name.startswith(argv[0] + "_") for name in written)
+    assert capsys.readouterr().out.split() == [str(out / name) for name in written]

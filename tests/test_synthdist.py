@@ -4,9 +4,10 @@ import math
 import numpy as np
 import pytest
 import scipy.stats
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from rankmetrics import synthdist
 from rankmetrics.synthdist import (
     REAL,
     SYNTHETIC,
@@ -168,6 +169,57 @@ def test_flat_ensemble_matches_per_spec_sampling():
         assert series.label == alone.label == spec.label
         assert series.origin == SYNTHETIC
         assert series.values.tobytes() == alone.values.tobytes()
+
+
+def numpy_stream_values(spec, seed, stream_id):
+    """The values of `spec` drawn from numpy's own stream (seed, stream_id)."""
+    seed_seq = np.random.SeedSequence((seed, stream_id))
+    values = np.random.Generator(np.random.PCG64(seed_seq)).standard_normal(spec.n)
+    values *= spec.sigma
+    values += spec.mu
+    return np.exp(values)
+
+
+SEED_CORNERS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+# 2**64 + 5 is three entropy words: with a two-word seed, more than the 4-word pool
+STREAM_CORNERS = [0, 599, 2**32, 2**64 - 1, 2**64 + 5]
+
+
+@given(
+    seed=st.sampled_from(SEED_CORNERS) | st.integers(0, 2**64 - 1),
+    stream_ids=st.lists(st.sampled_from(STREAM_CORNERS) | st.integers(0, 2**160),
+                        min_size=1, max_size=6),
+)
+@example(seed=0, stream_ids=STREAM_CORNERS)
+@example(seed=1, stream_ids=STREAM_CORNERS)
+@example(seed=2**32 - 1, stream_ids=STREAM_CORNERS)
+@example(seed=2**32, stream_ids=STREAM_CORNERS)
+@example(seed=2**63, stream_ids=STREAM_CORNERS)
+@example(seed=2**64 - 1, stream_ids=STREAM_CORNERS)
+@settings(max_examples=60, deadline=None)
+def test_streams_are_numpys_seed_sequence_streams(seed, stream_ids):
+    # every stream is seeded in one pass, ids of different widths together
+    states = synthdist._stream_states(seed, stream_ids)
+    spec = LognormalSpec("aa", 2.5, 1.1, 7)
+    for stream_id, words in zip(stream_ids, states, strict=True):
+        seed_seq = np.random.SeedSequence((seed, stream_id))
+        assert words.tolist() == seed_seq.generate_state(4, np.uint64).tolist()
+        expected = numpy_stream_values(spec, seed, stream_id)
+        assert sample_series(spec, seed, stream_id).values.tobytes() == expected.tobytes()
+    # 600 series, so the ensemble's streams run from 0 to 599
+    ensemble = generate_ensemble(EnsembleConfig(3.0, 2.0, 300, (2, 1), seed=seed))
+    for i, (spec, series) in enumerate(zip(ensemble.specs, ensemble.series, strict=True)):
+        assert series.values.tobytes() == numpy_stream_values(spec, seed, i).tobytes()
+
+
+def test_stream_id_is_a_nonnegative_integer():
+    spec = LognormalSpec("aa", 2.5, 1.1, 3)
+    with pytest.raises(TypeError):
+        sample_series(spec, 1, 2.0)
+    with pytest.raises(ValueError):
+        sample_series(spec, 1, -1)
+    expected = sample_series(spec, 1, 2).values.tobytes()
+    assert sample_series(spec, 1, np.uint8(2)).values.tobytes() == expected
 
 
 @pytest.mark.parametrize(
