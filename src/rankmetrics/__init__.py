@@ -20,6 +20,7 @@ from .indicators import (
     percentile_cutoff,
     rk_from_rank1s,
     rk_index,
+    rk_rows,
 )
 from .rankcore import (
     COMPETITION,
@@ -79,4 +80,5 @@ __all__ = [
     "percentile_cutoff",
     "rk_from_rank1s",
     "rk_index",
+    "rk_rows",
 ]

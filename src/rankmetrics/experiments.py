@@ -20,8 +20,8 @@ import numpy as np
 
 from . import __version__
 from .errors import DataError
-from .indicators import analytic_ptop, rk_from_rank1s
-from .rankcore import ORDINAL, RankQuery, build_world, geometric_mean
+from .indicators import analytic_ptop, rk_rows
+from .rankcore import ORDINAL, RankQuery, build_world, geometric_means
 from .synthdist import Ensemble, EnsembleConfig, generate_ensemble
 from .table import write_table
 
@@ -121,25 +121,39 @@ def write_report(report: ExperimentReport, out_dir, fmt: str = "csv") -> list[st
     return [data_path, sidecar_path]
 
 
-def top_rank1s(world: RankQuery, label: str, k: int) -> np.ndarray:
-    """Global ranks of the unit's k locally best papers, local order."""
-    return world.top_rank1s(label, k)
+def top_rank1s(world: RankQuery, labels, k: int) -> np.ndarray:
+    """Global ranks of each unit's k locally best papers: one row per
+    label, local order (`RankQuery.top_rank1s_many`)."""
+    return world.top_rank1s_many(labels, k)
 
 
 def _units(ensemble: Ensemble, labels, k: int, tie_policy: str):
-    """The ensemble's world, and a lazy (spec, top-k rank1s) per label.
+    """The ensemble's world, the specs and (units, k) top-k rank1s of the
+    labels, ranked in one query, and a check that refuses the rest.
 
-    A unit is ranked only when the study reaches it, so the study's own
-    checks on one unit fail before the next is ranked; and the rank query
-    sees each label before its spec is read, so it refuses an unknown one.
+    The query ranks the labels before the first one it would refuse, and
+    the check raises that refusal.  A study calls the check after its
+    per-unit work on the ranked rows, so errors come in the order of a
+    study that ranks one unit at a time: the first unit's rank error, then
+    a world-level error such as a `PercentileCutoffError` (raised on the
+    first unit), then a later unit's rank error.  The rank query sees each
+    label before its spec is read, so it refuses an unknown one.
     """
     world = build_world(list(ensemble.series), tie_policy=tie_policy)
-    ranked = ((label, top_rank1s(world, label, k)) for label in labels)
-    return world, ((ensemble.spec_by_label[label], ranks) for label, ranks in ranked)
+    labels = list(labels)
+    ranked = labels[:world.rankable(labels, k) or 1]
+    ranks = top_rank1s(world, ranked, k)
+    refused = labels[len(ranked):]
+
+    def check_rest():
+        if refused:
+            world.top_rank1s(refused[0], k)
+
+    return world, [ensemble.spec_by_label[label] for label in ranked], ranks, check_rest
 
 
-def _join_ranks(ranks) -> str:
-    return ";".join(str(int(r)) for r in ranks)
+def _join_ranks(ranks: np.ndarray) -> str:
+    return ";".join(map(str, ranks.tolist()))
 
 
 def _base_parameters(config: EnsembleConfig, tie_policy: str, **extra) -> dict:
@@ -168,23 +182,25 @@ def run_table_s1(
     """
     positions = sample_positions(len(ensemble.specs), sample_size)
     labels = [ensemble.specs[pos].label for pos in positions]
-    _, units = _units(ensemble, labels, k, tie_policy)
+    _, specs, ranks, check_rest = _units(ensemble, labels, k, tie_policy)
+    ratios = np.arange(1, k + 1) / ranks
     rows = []
-    for spec, ranks in units:
-        ratios = [(i + 1) / float(r) for i, r in enumerate(ranks)]
-        gm = geometric_mean(ratios)
-        for i, r in enumerate(ranks):
+    for spec, rank1s, unit_ratios, gm in zip(
+        specs, ranks.tolist(), ratios.tolist(), geometric_means(ratios).tolist()
+    ):
+        for i, (r, ratio) in enumerate(zip(rank1s, unit_ratios)):
             rows.append(
                 {
                     "label": spec.label,
                     "mu": spec.mu,
                     "n": spec.n,
                     "rank2": i + 1,
-                    "rank1": int(r),
-                    "ratio": ratios[i],
+                    "rank1": r,
+                    "ratio": ratio,
                     "gm_ratio": gm,
                 }
             )
+    check_rest()
     params = _base_parameters(
         ensemble.config, tie_policy, sample_size=sample_size, k=k,
         selection="evenly spaced over grid order, endpoints included",
@@ -223,22 +239,30 @@ def run_fig1(
 ) -> ExperimentReport:
     """Collapse study: per selected series, the geometric means of inverse
     global ranks (raw and offset) against expected top-10% / top-0.1% counts."""
-    world, units = _units(ensemble, select_99(ensemble), k, tie_policy)
+    world, specs, ranks, check_rest = _units(ensemble, select_99(ensemble), k, tie_policy)
+    columns = zip(
+        specs,
+        rk_rows(ranks, offset=0.0, scale=1.0).tolist(),
+        rk_rows(ranks, offset=offset, scale=1.0).tolist(),
+        rk_rows(ranks, offset=offset, scale=scale).tolist(),
+        ranks,
+    )
     rows = []
-    for spec, ranks in units:
+    for spec, gm_inv, gm_inv_offset, rk, rank1s in columns:
         rows.append(
             {
                 "label": spec.label,
                 "mu": spec.mu,
                 "n": spec.n,
-                "gm_inv_rank1": rk_from_rank1s(ranks, offset=0.0, scale=1.0),
-                "gm_inv_offset_rank1": rk_from_rank1s(ranks, offset=offset, scale=1.0),
-                "rk": rk_from_rank1s(ranks, offset=offset, scale=scale),
+                "gm_inv_rank1": gm_inv,
+                "gm_inv_offset_rank1": gm_inv_offset,
+                "rk": rk,
                 "ptop_10_analytic": analytic_ptop(spec, world, 10.0).value,
                 "ptop_0.1_analytic": analytic_ptop(spec, world, 0.1).value,
-                "rank1s": _join_ranks(ranks),
+                "rank1s": _join_ranks(rank1s),
             }
         )
+    check_rest()
     params = _base_parameters(ensemble.config, tie_policy, k=k, offset=offset, scale=scale)
     return ExperimentReport(experiment_id="fig1", parameters=params, rows=rows)
 
@@ -252,12 +276,12 @@ def run_fig2(
 ) -> ExperimentReport:
     """Stringency tiers: the 99 selected series split 33/33/33 by
     descending rank index, with expected counts for several percentiles."""
-    world, units = _units(ensemble, select_99(ensemble), k, tie_policy)
+    world, specs, ranks, check_rest = _units(ensemble, select_99(ensemble), k, tie_policy)
     scored = []
-    for spec, ranks in units:
-        rk = rk_from_rank1s(ranks, offset=offset, scale=scale)
+    for spec, rk, rank1s in zip(specs, rk_rows(ranks, offset=offset, scale=scale).tolist(), ranks):
         ptops = {f"ptop_{x:g}": analytic_ptop(spec, world, x).value for x in FIG2_PERCENTILES}
-        scored.append((rk, spec, ptops, ranks))
+        scored.append((rk, spec, ptops, rank1s))
+    check_rest()
     scored.sort(key=lambda e: (-e[0], e[1].label))
     third = len(scored) // 3
     rows = [
@@ -268,9 +292,9 @@ def run_fig2(
             "tier": "high" if i < third else ("medium" if i < 2 * third else "low"),
             "rk": rk,
             **ptops,
-            "rank1s": _join_ranks(ranks),
+            "rank1s": _join_ranks(rank1s),
         }
-        for i, (rk, spec, ptops, ranks) in enumerate(scored)
+        for i, (rk, spec, ptops, rank1s) in enumerate(scored)
     ]
     params = _base_parameters(
         ensemble.config, tie_policy, k=k, offset=offset, scale=scale,
@@ -294,14 +318,16 @@ def run_ptop(
     as given; when empty or None the 99 triple-selected series are used.
     """
     chosen = labels.split(",") if labels else select_99(ensemble)
-    world, units = _units(ensemble, chosen, k, tie_policy)
+    world, specs, ranks, check_rest = _units(ensemble, chosen, k, tie_policy)
     rows = []
-    for spec, ranks in units:
+    for spec in specs:
         row = {"label": spec.label, "mu": spec.mu, "n": spec.n}
         for x in xs:
             row[f"ptop_{x:g}"] = analytic_ptop(spec, world, x).value
-        row["rk"] = rk_from_rank1s(ranks, offset=offset, scale=scale)
         rows.append(row)
+    for row, rk in zip(rows, rk_rows(ranks, offset=offset, scale=scale).tolist()):
+        row["rk"] = rk
+    check_rest()
     params = _base_parameters(
         ensemble.config, tie_policy, x=list(xs), labels=labels, k=k, offset=offset, scale=scale
     )
@@ -331,21 +357,22 @@ def run_fig3(
     width = len(config.sizes)
     labels = [ensemble.specs[nearest_mu_index(config, mu) * width + config.sizes.index(n)].label
               for mu in mu_targets for n in size_pair]
-    _, units = _units(ensemble, labels, k, tie_policy)
+    _, specs, ranks, check_rest = _units(ensemble, labels, k, tie_policy)
     rows = []
-    for spec, ranks in units:
-        rk = rk_from_rank1s(ranks, offset=offset, scale=scale)
-        for rank2, rank1 in enumerate(ranks, start=1):
+    for spec, rk, rank1s in zip(specs, rk_rows(ranks, offset=offset, scale=scale).tolist(),
+                                ranks.tolist()):
+        for rank2, rank1 in enumerate(rank1s, start=1):
             rows.append(
                 {
                     "label": spec.label,
                     "mu": spec.mu,
                     "n": spec.n,
                     "rank2": rank2,
-                    "rank1": int(rank1),
+                    "rank1": rank1,
                     "rk": rk,
                 }
             )
+    check_rest()
     params = _base_parameters(
         ensemble.config, tie_policy, k=k, offset=offset, scale=scale,
         mu_targets=list(mu_targets), size_pair=list(size_pair),
@@ -372,10 +399,9 @@ def run_fig4(
     """Equivalence ranges: rank-index to top-percentile ratios per series,
     flagged where the index may substitute for the percentile count."""
     ensemble = generate_ensemble(extended_config)
-    world, units = _units(ensemble, ensemble.labels, k, tie_policy)
+    world, specs, ranks, check_rest = _units(ensemble, ensemble.labels, k, tie_policy)
     rows = []
-    for spec, ranks in units:
-        rk = rk_from_rank1s(ranks, offset=offset, scale=scale)
+    for spec, rk, rank1s in zip(specs, rk_rows(ranks, offset=offset, scale=scale).tolist(), ranks):
         p01 = analytic_ptop(spec, world, 0.1).value
         p001 = analytic_ptop(spec, world, 0.01).value
         rows.append(
@@ -390,9 +416,10 @@ def run_fig4(
                 "rk_over_ptop_0.01": rk / p001,
                 "in_equiv_0.1": EQUIV_RANGE_01[0] <= rk <= EQUIV_RANGE_01[1],
                 "in_equiv_0.01": EQUIV_RANGE_001[0] <= rk <= EQUIV_RANGE_001[1],
-                "rank1s": _join_ranks(ranks),
+                "rank1s": _join_ranks(rank1s),
             }
         )
+    check_rest()
     params = _base_parameters(
         extended_config, tie_policy, k=k, offset=offset, scale=scale,
         equiv_range_01=list(EQUIV_RANGE_01), equiv_range_001=list(EQUIV_RANGE_001),

@@ -64,10 +64,11 @@ class PercentileResult:
     cutoff_rank: int = 0
 
 
-def rk_from_rank1s(rank1s, offset: float = DEFAULT_OFFSET, scale: float = DEFAULT_SCALE) -> float:
-    """scale * geometric mean of 1/(offset + rank1) in log space."""
+def rk_rows(rank1s, offset: float = DEFAULT_OFFSET, scale: float = DEFAULT_SCALE) -> np.ndarray:
+    """The Rk of each row of a (units, k) rank1 matrix: scale * geometric
+    mean of 1/(offset + rank1) in log space, one float64 per row."""
     ranks = np.asarray(rank1s, dtype=np.float64)
-    if ranks.size == 0:
+    if ranks.shape[-1] == 0:
         raise ValueError("need at least one rank")
     if np.any(ranks < 1):
         raise ValueError("ranks must be >= 1")
@@ -75,7 +76,13 @@ def rk_from_rank1s(rank1s, offset: float = DEFAULT_OFFSET, scale: float = DEFAUL
         raise ValueError(f"offset must be >= 0, got {offset}")
     if scale <= 0:
         raise ValueError(f"scale must be > 0, got {scale}")
-    return float(scale * np.exp(-np.mean(np.log(offset + ranks))))
+    return scale * np.exp(-np.mean(np.log(offset + ranks), axis=-1))
+
+
+def rk_from_rank1s(rank1s, offset: float = DEFAULT_OFFSET, scale: float = DEFAULT_SCALE) -> float:
+    """scale * geometric mean of 1/(offset + rank1) in log space: the
+    one-row case of `rk_rows`."""
+    return float(rk_rows(np.reshape(rank1s, (1, -1)), offset=offset, scale=scale)[0])
 
 
 def rk_index(

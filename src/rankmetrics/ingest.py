@@ -22,9 +22,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError, not_utf8, read_text
-from .indicators import DEFAULT_K, DEFAULT_OFFSET, DEFAULT_SCALE, RkResult, percentile_cutoff, rk_from_rank1s
-# The corpus ranks without `build_world`; it stays importable here because
-# perfbench/spans.py wraps `ingest.build_world` by name and fails without it.
+from .indicators import DEFAULT_K, DEFAULT_OFFSET, DEFAULT_SCALE, RkResult, percentile_cutoff, rk_rows
+# The corpus ranks without `build_world` and scores its units without
+# `rk_from_rank1s`; both stay importable here because perfbench/spans.py
+# wraps `ingest.build_world` and `ingest.rk_from_rank1s` by name and fails
+# without them.
+from .indicators import rk_from_rank1s  # noqa: F401
 from .rankcore import ORDINAL, TIE_POLICIES, _competition_ranks, build_world  # noqa: F401
 
 DOMESTIC = "domestic"
@@ -207,7 +210,9 @@ class Corpus(Sequence):
         if tie_policy == ORDINAL:
             id_order = np.empty(n, dtype=np.int64)
             id_order[sorted(range(n), key=self.ids.__getitem__)] = np.arange(n)
-            ranks[np.lexsort((id_order, -self.citations))] = np.arange(1, n + 1)
+            # one int64 key per paper, (dense citation rank, id order): below n**2
+            _, dense = np.unique(-self.citations, return_inverse=True)
+            ranks[np.argsort(dense * n + id_order)] = np.arange(1, n + 1)
         else:
             order = np.argsort(-self.citations, kind="stable")
             ranks[order] = _competition_ranks(self.citations[order])
@@ -427,37 +432,42 @@ def assess(
     # Under both tie policies a cited paper holds a world rank <= cited
     # and an uncited one a rank > cited, so p0 counts ranks > cited.
     cited = int(np.count_nonzero(corpus.citations))
-    rows = []
+    units = []
     for country in countries:
         code = corpus.code(country)
         for unit, kind in enumerate((DOMESTIC, COLLABORATIVE), start=2 * code):
             lo, hi = np.searchsorted(keys, [unit * stride, (unit + 1) * stride]).tolist()
-            unit_ranks = keys[lo:hi] - unit * stride
-            p = hi - lo
-            ptop10 = top_count(unit_ranks, 10.0, world_size)
-            if p >= k:
-                rank1s = tuple(unit_ranks[:k].tolist())
-                rk = RkResult(
-                    label=f"{country}:{kind}",
-                    rk=rk_from_rank1s(rank1s, offset=offset, scale=scale),
-                    k=k, offset=offset, scale=scale, rank1s=rank1s,
-                )
-                status = RK_OK
-            else:
-                rk, status = None, RK_INSUFFICIENT
-            rows.append(
-                AssessmentRow(
-                    country=country,
-                    split=kind,
-                    p=p,
-                    p0=p - int(np.searchsorted(unit_ranks, cited, side="right")),
-                    ptop10=ptop10,
-                    ptop10_over_p=(ptop10 / p) if p else None,
-                    rk=rk,
-                    rk_status=status,
-                    ranks=unit_ranks,
-                )
+            units.append((country, kind, keys[lo:hi] - unit * stride))
+    # the Rk of every unit of at least k papers, in one row-wise pass
+    tops = [ranks[:k] for _, _, ranks in units if ranks.size >= k]
+    rks = iter(rk_rows(np.array(tops, dtype=np.int64).reshape(len(tops), k),
+                       offset=offset, scale=scale).tolist())
+    rows = []
+    for country, kind, ranks in units:
+        p = ranks.size
+        ptop10 = top_count(ranks, 10.0, world_size)
+        if p >= k:
+            rank1s = tuple(ranks[:k].tolist())
+            rk = RkResult(
+                label=f"{country}:{kind}", rk=next(rks),
+                k=k, offset=offset, scale=scale, rank1s=rank1s,
             )
+            status = RK_OK
+        else:
+            rk, status = None, RK_INSUFFICIENT
+        rows.append(
+            AssessmentRow(
+                country=country,
+                split=kind,
+                p=p,
+                p0=p - int(np.searchsorted(ranks, cited, side="right")),
+                ptop10=ptop10,
+                ptop10_over_p=(ptop10 / p) if p else None,
+                rk=rk,
+                rk_status=status,
+                ranks=ranks,
+            )
+        )
     return rows
 
 

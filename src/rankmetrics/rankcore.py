@@ -87,8 +87,8 @@ class RankQuery:
     series order: value descending, then label, then position within
     the series.  Under the ordinal policy ranks are 1..W in that order;
     under the competition policy tied values share their block's
-    smallest rank.  A query selects the unit's top k, then counts the
-    world entries above each of them in the sorted values.
+    smallest rank.  A query selects each unit's top k into one matrix,
+    then counts the world entries above each of them in the sorted values.
     """
 
     def __init__(self, series: list[CitationSeries], tie_policy: str = ORDINAL):
@@ -128,28 +128,60 @@ class RankQuery:
             raise UnknownLabelError(label) from None
 
     def top_rank1s(self, label: str, k: int) -> np.ndarray:
-        """Global ranks of the unit's k locally best papers, local order."""
+        """Global ranks of the unit's k locally best papers, local order:
+        the one-row case of `top_rank1s_many`."""
+        return self.top_rank1s_many([label], k)[0]
+
+    def rankable(self, labels, k: int) -> int:
+        """How many leading `labels` a top-k query accepts: the position of
+        the first one naming no unit or a unit of fewer than k papers."""
+        for i, label in enumerate(labels):
+            series = self._series.get(label)
+            if series is None or series.n < k:
+                return i
+        return len(labels)
+
+    def top_rank1s_many(self, labels, k: int) -> np.ndarray:
+        """Global ranks of each unit's k locally best papers: a (units, k)
+        int64 matrix, one row per label in local order.  The first label
+        naming no unit or a unit of fewer than k papers is refused."""
         _check_k(k)
-        unit = self.unit_values(label)
-        n = unit.size
-        if n < k:
-            raise InsufficientPapersError(f"unit {label} has {n} papers, {k} required")
-        # The unit's k largest values, descending.  A unit's equal values
+        labels = list(labels)
+        units = []
+        for label in labels:
+            unit = self.unit_values(label)
+            if unit.size < k:
+                raise InsufficientPapersError(f"unit {label} has {unit.size} papers, {k} required")
+            units.append(unit)
+        # Each unit's k largest values, descending.  A unit's equal values
         # hold consecutive world ranks, whichever member comes first.
-        values = np.sort(np.partition(unit, n - k)[n - k:])[::-1]
+        values = np.empty((len(units), k))
+        for row, unit in zip(values, units):
+            row[:] = np.partition(unit, unit.size - k)[unit.size - k:]
+        values.sort(axis=1)
+        values = values[:, ::-1]
         right = np.searchsorted(self._asc, values, side="right")
         rank1 = self.size - right + 1  # competition: 1 + entries strictly above
         if self.tie_policy == ORDINAL:
             left = np.searchsorted(self._asc, values, side="left")
-            if np.any(right - left > 1):
+            tied = np.flatnonzero(np.any(right - left > 1, axis=1))
+            if tied.size:
                 # Equal values order by label: count the equal entries of
                 # units whose label sorts first, then this unit's equal
                 # entries that precede in local order (values run descending).
-                labels = len(self._sizes)
+                codes = np.array([self._codes[labels[row]] for row in tied.tolist()])
+                count = len(self._sizes)
                 tie_keys = self._tie_keys
-                first = tie_keys[left] // labels * labels + self._codes[label]
-                rank1 += np.searchsorted(tie_keys, first, side="left") - left
-                rank1 += np.arange(k) - np.searchsorted(-values, -values, side="left")
+                left, values = left[tied], values[tied]
+                first = tie_keys[left] // count * count + codes[:, None]
+                before = np.searchsorted(tie_keys, first, side="left") - left
+                # column of the first entry equal to each value in its row
+                starts = np.ones(values.shape, dtype=bool)
+                starts[:, 1:] = values[:, 1:] != values[:, :-1]
+                columns = np.arange(k)
+                rank1[tied] += before + columns - np.maximum.accumulate(
+                    np.where(starts, columns, 0), axis=1
+                )
         return rank1
 
     @cached_property
@@ -213,14 +245,20 @@ def top_k(pairs: list[RankPair], k: int = 10, label: str | None = None) -> TopKR
     return TopKRanks(label=label, k=k, pairs=tuple(chosen))
 
 
-def geometric_mean(xs) -> float:
-    """exp(mean(ln x)); log-space form is safe for long products of small terms."""
-    arr = np.asarray(xs, dtype=np.float64)
-    if arr.size == 0:
+def geometric_means(rows) -> np.ndarray:
+    """exp(mean(ln x)) of each row; log-space form is safe for long
+    products of small terms."""
+    arr = np.asarray(rows, dtype=np.float64)
+    if arr.shape[-1] == 0:
         raise ValueError("geometric mean of an empty sequence is undefined")
     if np.any(arr <= 0):
         raise ValueError("geometric mean requires strictly positive values")
-    return float(np.exp(np.mean(np.log(arr))))
+    return np.exp(np.mean(np.log(arr), axis=-1))
+
+
+def geometric_mean(xs) -> float:
+    """exp(mean(ln x)): the one-row case of `geometric_means`."""
+    return float(geometric_means(np.reshape(xs, (1, -1)))[0])
 
 
 def ratio_index(top: TopKRanks) -> float:

@@ -485,6 +485,26 @@ def test_out_of_range_selections_are_data_errors(tmp_path, small_cfg, capsys, ar
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "sizes, message",
+    [
+        # 858 papers: the top 0.1% holds no entries, which the first unit meets
+        ("12,9,5", "top 0.1% of a world of 858 papers holds no entries"),
+        ("40,9,5", "unit ab has 9 papers, 10 required"),
+    ],
+)
+def test_fig1_reports_a_later_short_unit_after_world_level_errors(tmp_path, capsys, sizes, message):
+    # the first selected unit (aa) holds at least --k papers, the second does not
+    config = tmp_path / "grid.cfg"
+    config.write_text(f"mu_start = 4.0\nmu_end = 2.0\nmu_count = 33\nsizes = {sizes}\nseed = 3\n")
+    out = tmp_path / "out"
+    assert main(["fig1", "--config", str(config), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_ptop_corpus_refuses_a_repeated_cutoff(tmp_path, corpus_csv, capsys):
     out = tmp_path / "out"
     argv = ["ptop", "--input", corpus_csv, "--country", "USA", "--split", "domestic",

@@ -29,7 +29,7 @@ from rankmetrics.experiments import (
     write_report,
 )
 from rankmetrics.indicators import rk_from_rank1s
-from rankmetrics.rankcore import build_world
+from rankmetrics.rankcore import build_world, geometric_mean
 from rankmetrics.synthdist import (
     REAL,
     SYNTHETIC,
@@ -37,12 +37,14 @@ from rankmetrics.synthdist import (
     EnsembleConfig,
     LognormalSpec,
     generate_ensemble,
+    load_config,
     write_specs_csv,
     write_values_csv,
 )
 from rankmetrics.table import write_table
 
 SMALL_TRIPLE_GRID = EnsembleConfig(4.0, 2.0, 33, (800, 400, 200), seed=3)
+SMALL_GRID_CFG = Path(__file__).resolve().parents[1] / "configs" / "small_grid.cfg"
 
 
 @pytest.fixture(scope="module")
@@ -431,3 +433,42 @@ def test_gen_writers_match_csv_writer(labels, data):
     write_specs_csv(specs, out)
     rows = [[spec.label, repr(spec.mu), repr(spec.sigma), spec.n] for spec in specs]
     assert out.getvalue() == csv_writer_oracle(["label", "mu", "sigma", "n"], rows)
+
+
+def _rank1s(row) -> list[int]:
+    return [int(r) for r in row["rank1s"].split(";")]
+
+
+@pytest.mark.parametrize("tie_policy", ["ordinal", "competition"])
+def test_row_wise_index_equals_the_scalar_index_exactly(tie_policy):
+    # The studies take one vectorised log/mean/exp over all their units;
+    # each value must equal, bit for bit, the scalar function on its row.
+    config = load_config(SMALL_GRID_CFG)
+    ensemble = generate_ensemble(config)
+    for row in run_fig1(ensemble, tie_policy=tie_policy).rows:
+        ranks = _rank1s(row)
+        assert row["gm_inv_rank1"] == rk_from_rank1s(ranks, offset=0.0, scale=1.0)
+        assert row["gm_inv_offset_rank1"] == rk_from_rank1s(ranks, offset=20.0, scale=1.0)
+        assert row["rk"] == rk_from_rank1s(ranks)
+    for row in run_fig2(ensemble, tie_policy=tie_policy).rows:
+        assert row["rk"] == rk_from_rank1s(_rank1s(row))
+    for row in run_fig4(config, tie_policy=tie_policy).rows:
+        rk = rk_from_rank1s(_rank1s(row))
+        assert row["rk"] == rk
+        assert row["rk_over_ptop_0.1"] == rk / row["ptop_0.1"]
+        assert row["rk_over_ptop_0.01"] == rk / row["ptop_0.01"]
+    blocks = {}
+    for row in run_fig3(ensemble, tie_policy=tie_policy).rows:
+        blocks.setdefault(row["label"], []).append(row)
+    for block in blocks.values():
+        assert all(row["rk"] == rk_from_rank1s([r["rank1"] for r in block]) for row in block)
+    world = build_world(list(ensemble.series), tie_policy=tie_policy)
+    for row in run_ptop(ensemble, (10.0, 0.1), tie_policy=tie_policy).rows:
+        assert row["rk"] == rk_from_rank1s(world.top_rank1s(row["label"], 10))
+    blocks = {}
+    for row in run_table_s1(ensemble, tie_policy=tie_policy).rows:
+        assert row["ratio"] == row["rank2"] / row["rank1"]
+        blocks.setdefault(row["label"], []).append(row)
+    for block in blocks.values():
+        gm = geometric_mean([row["ratio"] for row in block])
+        assert all(row["gm_ratio"] == gm for row in block)

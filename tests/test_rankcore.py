@@ -335,3 +335,46 @@ def test_rank_query_rejects_what_build_world_rejects():
     for k in (0, -3):
         with pytest.raises(ValueError, match="k must be >= 1"):
             world.top_rank1s("a", k)
+
+
+@st.composite
+def filled_worlds(draw):
+    """2-6 non-empty series of mixed sizes, each holding integer counts 0..3
+    (ties within and across units) or lognormal-like floats; plus a query
+    list of their labels in any order, repeats allowed."""
+    labels = draw(st.lists(st.sampled_from("abcdefgh"), min_size=2, max_size=6, unique=True))
+    parts = []
+    for label in labels:
+        if draw(st.booleans()):
+            values = draw(st.lists(st.integers(0, 3), min_size=1, max_size=15))
+            parts.append(CitationSeries(label, values, origin=REAL))
+        else:
+            logs = draw(st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=15))
+            parts.append(CitationSeries(label, np.exp(np.asarray(logs)), origin=SYNTHETIC))
+    query = draw(st.lists(st.sampled_from(labels), min_size=1, max_size=8))
+    return parts, query
+
+
+@given(world=filled_worlds(), tie_policy=st.sampled_from([ORDINAL, COMPETITION]))
+@settings(max_examples=300, deadline=None)
+def test_many_label_query_matches_one_label_queries_and_oracle(world, tie_policy):
+    parts, query = world
+    index = build_world(parts, tie_policy=tie_policy)
+    expected = brute_force_ranks(parts, tie_policy)
+    sizes = {p.label: p.n for p in parts}
+    for k in range(1, min(sizes[label] for label in query) + 1):
+        ranks = index.top_rank1s_many(query, k)
+        assert ranks.dtype == np.int64 and ranks.shape == (len(query), k)
+        for label, row in zip(query, ranks.tolist()):
+            assert row == index.top_rank1s(label, k).tolist()
+            assert row == [r1 for r1, _, _ in expected[label][:k]]
+        assert index.rankable(query, k) == len(query)
+    # the first label naming no unit or a unit shorter than k is refused
+    k = max(sizes.values())
+    labels = query + ["zz"]
+    short = next(label for label in labels if sizes.get(label, 0) < k)
+    assert index.rankable(labels, k) == labels.index(short)
+    error = UnknownLabelError if short == "zz" else InsufficientPapersError
+    with pytest.raises(error, match=f"'{short}'" if short == "zz" else f"unit {short} has"):
+        index.top_rank1s_many(labels, k)
+    assert index.top_rank1s_many([], 1).shape == (0, 1)
