@@ -28,8 +28,12 @@ STUDY_FLAGS = ("sample_size", "k", "offset", "scale", "tie_policy")
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    # the top-level options take no value, so the first token that is not
+    # an option is the one argparse reads as the command
+    command = next((token for token in argv if not token.startswith("-")), None)
+    args = build_parser(command).parse_args(argv)
     try:
         check_flags(args)
         return args.handler(args)
@@ -38,54 +42,69 @@ def main(argv=None) -> int:
         return 1
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The command-line parser.  Every subcommand is listed with its help,
+    but only `command` gets its arguments, or every subcommand when
+    `command` is None: a run builds only the subparser it parses with."""
     parser = argparse.ArgumentParser(
         prog="rankmetrics",
         description="Rank-based research-assessment metrics and their validation studies.",
     )
     parser.add_argument("--version", action="version", version=f"rankmetrics {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_arguments) in SUBCOMMANDS.items():
+        if command in (None, name):
+            add_arguments(sub.add_parser(name, help=help_text))
+        else:  # never parsed with, so without even its --help
+            sub.add_parser(name, help=help_text, add_help=False)
+    return parser
 
-    def add_common(p, config=False, corpus=False, report=True):
-        if config:
-            p.add_argument("--config", help="ensemble config file (key = value lines)")
-            p.add_argument("--seed", type=int, help="override the config seed")
-        if corpus:
-            p.add_argument("--input", help="corpus CSV (id,year,citations,countries[,field])")
-            p.add_argument("--meta", help="corpus metadata JSON sidecar")
-            p.add_argument(
-                "--skip-bad-rows", action="store_true",
-                help="proceed with valid rows instead of failing on row errors",
-            )
-        if report:  # gen writes a fixed set of CSV files and ranks nothing
-            p.add_argument("--tie-policy", choices=TIE_POLICIES, default=rankcore.ORDINAL)
-            p.add_argument("--format", choices=table.FORMATS, default="csv")
-        p.add_argument("--out", help="output directory (default: stdout where supported)")
 
-    def add_indicator_flags(p, index=True):
-        p.add_argument("--k", type=int, default=indicators.DEFAULT_K)
-        if index:  # tables1 reports rank ratios, not the index
-            p.add_argument("--offset", type=float, default=indicators.DEFAULT_OFFSET)
-            p.add_argument("--scale", type=float, default=indicators.DEFAULT_SCALE)
+def add_common(p, config=False, corpus=False, report=True):
+    if config:
+        p.add_argument("--config", help="ensemble config file (key = value lines)")
+        p.add_argument("--seed", type=int, help="override the config seed")
+    if corpus:
+        p.add_argument("--input", help="corpus CSV (id,year,citations,countries[,field])")
+        p.add_argument("--meta", help="corpus metadata JSON sidecar")
+        p.add_argument(
+            "--skip-bad-rows", action="store_true",
+            help="proceed with valid rows instead of failing on row errors",
+        )
+    if report:  # gen writes a fixed set of CSV files and ranks nothing
+        p.add_argument("--tie-policy", choices=TIE_POLICIES, default=rankcore.ORDINAL)
+        p.add_argument("--format", choices=table.FORMATS, default="csv")
+    p.add_argument("--out", help="output directory (default: stdout where supported)")
 
-    p = sub.add_parser("gen", help="generate an ensemble and export it")
+
+def add_indicator_flags(p, index=True):
+    p.add_argument("--k", type=int, default=indicators.DEFAULT_K)
+    if index:  # tables1 reports rank ratios, not the index
+        p.add_argument("--offset", type=float, default=indicators.DEFAULT_OFFSET)
+        p.add_argument("--scale", type=float, default=indicators.DEFAULT_SCALE)
+
+
+def gen_arguments(p):
     add_common(p, config=True, report=False)
     p.set_defaults(handler=cmd_gen)
 
-    p = sub.add_parser("rank", help="export the dual-rank table of an ensemble")
+
+def rank_arguments(p):
     add_common(p, config=True)
     p.add_argument("--labels", help="comma-separated series labels (default: all)")
     p.add_argument("--top", type=int, help="keep only each unit's top-n papers")
     p.set_defaults(handler=cmd_rank)
 
-    p = sub.add_parser("rk", help="rank index of one country/split in a corpus")
+
+def rk_arguments(p):
     add_common(p, corpus=True)
     add_indicator_flags(p)
     p.add_argument("--country", required=True)
     p.add_argument("--split", choices=(ingest.DOMESTIC, ingest.COLLABORATIVE), required=True)
     p.set_defaults(handler=cmd_rk)
 
-    p = sub.add_parser("ptop", help="top-percentile indicators")
+
+def ptop_arguments(p):
     add_common(p, config=True, corpus=True)
     add_indicator_flags(p)
     p.add_argument("--x", default=",".join(str(x) for x in DEFAULT_X),
@@ -96,31 +115,47 @@ def build_parser() -> argparse.ArgumentParser:
                    help="country split (corpus input)")
     p.set_defaults(handler=cmd_ptop)
 
-    for name, study, help_text in (
-        ("tables1", "run_table_s1", "dual-rank sample table"),
-        ("fig1", "run_fig1", "collapse of percentile counts onto inverse-rank means"),
-        ("fig2", "run_fig2", "stringency tiers"),
-        ("fig3", "run_fig3", "size/efficiency rank traces"),
-        ("fig4", "run_fig4", "equivalence ranges of the rank index"),
-    ):
-        p = sub.add_parser(name, help=help_text)
+
+def study_arguments(name, study):
+    """The function that adds the arguments of study command `name`, which runs
+    `experiments.<study>`."""
+    def add_arguments(p):
         add_common(p, config=name != "fig4")
         if name == "fig4":
-            p.add_argument("--config", help="extended grid config (default: built-in 115-series grid)")
-            p.add_argument("--seed", type=int, help="seed for the built-in grid or config override")
+            p.add_argument("--config",
+                           help="extended grid config (default: built-in 115-series grid)")
+            p.add_argument("--seed", type=int,
+                           help="seed for the built-in grid or config override")
         add_indicator_flags(p, index=name != "tables1")
         if name == "tables1":
             p.add_argument("--sample-size", type=int, default=15)
         p.set_defaults(handler=cmd_study, study=study)
 
-    p = sub.add_parser("assess", help="country assessment table from a corpus")
+    return add_arguments
+
+
+def assess_arguments(p):
     add_common(p, corpus=True)
     add_indicator_flags(p)
     p.add_argument("--countries", help="comma-separated country codes")
     p.add_argument("--countries-file", help="file with one country code per line")
     p.set_defaults(handler=cmd_assess)
 
-    return parser
+
+# each subcommand's help and the function that adds its arguments, in help order
+SUBCOMMANDS = {
+    "gen": ("generate an ensemble and export it", gen_arguments),
+    "rank": ("export the dual-rank table of an ensemble", rank_arguments),
+    "rk": ("rank index of one country/split in a corpus", rk_arguments),
+    "ptop": ("top-percentile indicators", ptop_arguments),
+    "tables1": ("dual-rank sample table", study_arguments("tables1", "run_table_s1")),
+    "fig1": ("collapse of percentile counts onto inverse-rank means",
+             study_arguments("fig1", "run_fig1")),
+    "fig2": ("stringency tiers", study_arguments("fig2", "run_fig2")),
+    "fig3": ("size/efficiency rank traces", study_arguments("fig3", "run_fig3")),
+    "fig4": ("equivalence ranges of the rank index", study_arguments("fig4", "run_fig4")),
+    "assess": ("country assessment table from a corpus", assess_arguments),
+}
 
 
 def check_flags(args) -> None:

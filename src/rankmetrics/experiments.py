@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .errors import DataError
-from .indicators import analytic_ptop, rk_rows
+from .indicators import PercentileCutoffError, analytic_ptop, rk_rows
 from .rankcore import ORDINAL, RankQuery, build_world, geometric_means
 from .synthdist import Ensemble, EnsembleConfig, generate_ensemble
 from .table import write_table
@@ -404,6 +404,12 @@ def run_fig4(
     for spec, rk, rank1s in zip(specs, rk_rows(ranks, offset=offset, scale=scale).tolist(), ranks):
         p01 = analytic_ptop(spec, world, 0.1).value
         p001 = analytic_ptop(spec, world, 0.01).value
+        for x, expected in ((0.1, p01), (0.01, p001)):
+            if expected == 0:  # the tail probability underflowed
+                raise PercentileCutoffError(
+                    f"series {spec.label}: its expected top {x}% count underflows to 0 at "
+                    f"mu = {spec.mu}, so rk_over_ptop_{x} has no value"
+                )
         rows.append(
             {
                 "label": spec.label,

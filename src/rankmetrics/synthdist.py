@@ -12,6 +12,7 @@ import functools
 import itertools
 import math
 import operator
+import string
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -151,7 +152,7 @@ class EnsembleConfig:
         if self.mu_count == 1:
             if self.mu_start != self.mu_end:
                 raise GridError("mu_count=1 requires mu_start == mu_end")
-            return np.array([self.mu_start])
+            return np.array([self.mu_start], dtype=np.float64)
         return np.linspace(self.mu_start, self.mu_end, self.mu_count)
 
     def to_dict(self) -> dict:
@@ -202,14 +203,27 @@ def build_grid(config: EnsembleConfig) -> list[LognormalSpec]:
     """Expand a config into specs, mu-major then size order, labels aa, ab, ...
 
     The default study grid (mu 4.0 -> 2.0 over 200 values, sizes
-    800/400/200) yields 600 series totaling 280,000 papers.
+    800/400/200) yields 600 series totaling 280,000 papers.  The config
+    has checked every size >= 1 and the sigma is `DEFAULT_SIGMA`, so the
+    specs are built without `LognormalSpec`'s checks.
     """
+    cells = itertools.product(config.mu_values().tolist(), config.sizes)
     specs = []
-    for i, mu in enumerate(config.mu_values()):
-        for j, n in enumerate(config.sizes):
-            label = series_label(i * len(config.sizes) + j)
-            specs.append(LognormalSpec(label=label, mu=float(mu), sigma=DEFAULT_SIGMA, n=n))
+    for label, (mu, n) in zip(_grid_labels(len(config.sizes) * config.mu_count), cells):
+        spec = object.__new__(LognormalSpec)
+        spec.__dict__.update(label=label, mu=mu, sigma=DEFAULT_SIGMA, n=n)
+        specs.append(spec)
     return specs
+
+
+@functools.cache
+def _grid_labels(count: int) -> tuple[str, ...]:
+    """`series_label(i)` for i < count: every 2-letter label in order, then
+    every 3-letter one, and so on."""
+    words = itertools.chain.from_iterable(
+        itertools.product(string.ascii_lowercase, repeat=width) for width in itertools.count(2)
+    )
+    return tuple(map("".join, itertools.islice(words, count)))
 
 
 # numpy's SeedSequence hash (numpy/random/bit_generator.pyx): a 4-word pool,
@@ -311,13 +325,6 @@ def _stream_generators(seed: int, stream_ids):
     return (Generator(PCG64(preset(words))) for words in _stream_states(seed, stream_ids))
 
 
-def _draw_log_values(rng, spec: LognormalSpec, out: np.ndarray) -> None:
-    """Fill `out` with mu + sigma*z, z drawn from `rng`."""
-    rng.standard_normal(out=out)
-    out *= spec.sigma
-    out += spec.mu
-
-
 def sample_series(spec: LognormalSpec, seed: int, stream_id: int) -> CitationSeries:
     """Draw `spec.n` values exp(mu + sigma*z) from the stream (seed, stream_id).
 
@@ -331,7 +338,9 @@ def sample_series(spec: LognormalSpec, seed: int, stream_id: int) -> CitationSer
         raise ValueError("stream_id must be >= 0")
     values = np.empty(spec.n)
     (rng,) = _stream_generators(seed, [stream_id])
-    _draw_log_values(rng, spec, values)
+    rng.standard_normal(out=values)
+    values *= spec.sigma
+    values += spec.mu
     with np.errstate(over="ignore"):  # an overflow gives inf, which CitationSeries refuses
         np.exp(values, out=values)
     try:
@@ -379,9 +388,10 @@ class Ensemble:
 def generate_ensemble(config: EnsembleConfig) -> Ensemble:
     """Build and sample the whole grid; stream id = grid index of the spec.
 
-    All streams are seeded in one pass.  Every series is drawn into its
-    slice of one buffer, which then takes one exp and one range check;
-    each series is a read-only view of it.
+    All streams are seeded in one pass, and each draws its series' normals
+    into its slice of one buffer.  The buffer then takes sigma, each mu
+    block's mu, one exp and one range check, rounding as `sample_series`
+    does per series; each series is a read-only view of it.
     """
     specs = build_grid(config)
     try:
@@ -393,8 +403,12 @@ def generate_ensemble(config: EnsembleConfig) -> Ensemble:
     ends = itertools.accumulate(spec.n for spec in specs)
     spans = [slice(end - spec.n, end) for spec, end in zip(specs, ends)]
     rngs = _stream_generators(config.seed, range(len(specs)))
-    for rng, spec, span in zip(rngs, specs, spans):
-        _draw_log_values(rng, spec, values[span])
+    for rng, span in zip(rngs, spans):
+        rng.standard_normal(out=values[span])
+    values *= DEFAULT_SIGMA
+    # grid order is mu-major: row i holds every series of the i-th mu
+    mu_blocks = values.reshape(config.mu_count, -1)
+    mu_blocks += config.mu_values()[:, np.newaxis]
     with np.errstate(over="ignore"):  # an overflow gives inf, refused below
         np.exp(values, out=values)
     if not _positive_finite(values):

@@ -5,19 +5,21 @@ import json
 import math
 import os
 import re
+import shutil
 import subprocess
 import sys
 import tempfile
 import warnings
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import rankmetrics
-from rankmetrics import experiments, synthdist
+from rankmetrics import cli, experiments, synthdist
 from rankmetrics.cli import build_parser, main
 from rankmetrics.ingest import corpus_world_ranks, load_corpus
 
@@ -202,6 +204,23 @@ def test_fig4_file_shape(tmp_path, capsys):
     sidecar = json.loads(Path(printed[1]).read_text())
     assert sidecar["experiment"] == "fig4"
     assert sidecar["row_count"] == 115
+
+
+def test_fig4_refuses_an_expected_count_that_underflows(tmp_path, capsys):
+    # at mu = -0.91 the tail above a world cutoff near exp(40) is below the
+    # smallest float, so rk / ptop would divide by 0
+    path = tmp_path / "wide.cfg"
+    path.write_text("mu_start = 40.0\nmu_end = -20.0\nmu_count = 23\n"
+                    "sizes = 200,800,2000,4000,8000\nseed = 1\n")
+    out = tmp_path / "out"
+    assert main(["fig4", "--config", str(path), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "error: series cx: its expected top 0.1% count underflows to 0 at "
+        "mu = -0.9090909090909065, so rk_over_ptop_0.1 has no value\n"
+    )
+    assert captured.out == ""
+    assert not out.exists()
 
 
 def test_experiment_runs_small_grid(tmp_path, small_cfg, capsys):
@@ -409,13 +428,18 @@ def test_rank_checks_labels_before_sampling(tmp_path, small_cfg, capsys, monkeyp
     assert not out.exists()
 
 
-def test_importing_the_cli_leaves_numpy_random_unloaded():
-    # the stream seeding loads numpy.random on first use, not at import
-    code = "import sys, rankmetrics.cli; print(sorted(m for m in sys.modules if 'numpy.random' in m))"
+def python_env():
+    """The environment of a Python subprocess that imports this checkout's rankmetrics."""
     env = dict(os.environ)
     src = str(Path(rankmetrics.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+    return env
+
+
+def test_importing_the_cli_leaves_numpy_random_unloaded():
+    # the stream seeding loads numpy.random on first use, not at import
+    code = "import sys, rankmetrics.cli; print(sorted(m for m in sys.modules if 'numpy.random' in m))"
+    result = subprocess.run([sys.executable, "-c", code], env=python_env(), capture_output=True,
                             text=True, check=True)
     assert result.stdout == "[]\n"
 
@@ -752,3 +776,56 @@ def test_fuzz_grid_runs_the_studies(fuzz_dir, tmp_path, capsys, argv):
     assert [name.rsplit(".", 1)[1] for name in written] == ["csv", "json"]
     assert all(name.startswith(argv[0] + "_") for name in written)
     assert capsys.readouterr().out.split() == [str(out / name) for name in written]
+
+
+def run_main(argv, full_parser=False):
+    """(stdout, stderr, exit code) of main(argv).  With `full_parser`, main
+    parses with every subcommand's arguments, as `build_parser()` builds."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    full = mock.patch.object(cli, "build_parser", lambda command=None: build_parser())
+    with (full if full_parser else contextlib.nullcontext()), \
+            contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return stdout.getvalue(), stderr.getvalue(), code
+
+
+# `-5` is a positional to argparse, so it, not `gen`, is the invalid command
+TOP_LEVEL_ARGVS = [["--help"], ["--version"], [], ["frobnicate"], ["-5", "gen"], ["--", "rank"]]
+
+
+@pytest.mark.parametrize(
+    "argv", TOP_LEVEL_ARGVS + [[command, "--help"] for command in sorted(SUBCOMMANDS)], ids=str
+)
+def test_subcommand_parser_prints_what_the_full_parser_prints(argv):
+    assert run_main(argv) == run_main(argv, full_parser=True)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(argv=fuzz_argv())
+def test_subcommand_parser_runs_fuzzed_argvs_as_the_full_parser(fuzz_dir, argv):
+    out = Path(tempfile.mkdtemp(dir=fuzz_dir)) / "out"
+    named = {"out": str(out)}
+    named.update((name, str(fuzz_dir / name)) for name in [*FUZZ_FILES, *BAD_PATHS])
+    argv = [named.get(token, token) for token in argv]
+    runs = []
+    for full_parser in (True, False):
+        printed = run_main(argv, full_parser)
+        written = {p.name: p.read_bytes() for p in out.iterdir()} if out.is_dir() else None
+        runs.append((printed, written))
+        if out.is_dir():
+            shutil.rmtree(out)
+    assert runs[0] == runs[1], argv
+
+
+def test_module_entry_point_parses_sys_argv(capsys, monkeypatch):
+    # only a real process calls main() with no argv, which reads sys.argv
+    monkeypatch.setenv("COLUMNS", "80")  # the width argparse wraps help to
+    env = dict(python_env(), COLUMNS="80")
+    for argv in (["ptop", "--config", SMALL_GRID, "--labels", "aa,ab", "--x", "10,1"],
+                 ["ptop", "--config", SMALL_GRID, "--bogus"]):
+        result = subprocess.run([sys.executable, "-m", "rankmetrics", *argv], env=env,
+                                capture_output=True, text=True)
+        assert (result.stdout, result.stderr, result.returncode) == run_main(argv)

@@ -77,6 +77,35 @@ def test_grid_labels_unique_totals_match(mu_count, sizes):
     assert sum(s.n for s in specs) == config.total_papers
 
 
+@st.composite
+def grid_configs(draw):
+    """One mu, a few, or enough for 3-letter labels, over sizes that may repeat."""
+    mu_count = draw(st.just(1) | st.integers(2, 9) | st.integers(170, 700))
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
+    mu_start = draw(st.floats(-50, 50) | st.integers(-50, 50))
+    mu_end = mu_start if mu_count == 1 else draw(st.floats(-50, 50))
+    return EnsembleConfig(mu_start, mu_end, mu_count, tuple(sizes))
+
+
+@given(config=grid_configs())
+# one mu given as an int; 720 series, labels aa..zz then aaa..; repeated sizes
+@example(config=EnsembleConfig(3, 3, 1, (30, 20)))
+@example(config=EnsembleConfig(3.0, -3.0, 240, (1, 7, 3)))
+@example(config=EnsembleConfig(4.0, 2.0, 3, (5, 5, 2, 5)))
+@settings(max_examples=100, deadline=None)
+def test_grid_specs_are_the_checked_specs(config):
+    # build_grid skips LognormalSpec's checks; each spec is still the one they pass
+    mu_n = [(mu, n) for mu in config.mu_values() for n in config.sizes]
+    expected = [
+        LognormalSpec(series_label(i), float(mu), synthdist.DEFAULT_SIGMA, n)
+        for i, (mu, n) in enumerate(mu_n)
+    ]
+    specs = build_grid(config)
+    assert specs == expected
+    assert repr(specs) == repr(expected)  # field types too: a float mu, an int n
+    assert all(type(spec) is LognormalSpec for spec in specs)
+
+
 def test_sample_log_mean_near_mu():
     spec = LognormalSpec("s", 3.0, 1.1, 10_000)
     series = sample_series(spec, seed=11, stream_id=0)
