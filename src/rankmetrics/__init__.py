@@ -15,7 +15,6 @@ from .indicators import (
     analytic_ptop,
     count_uncited,
     empirical_ptop,
-    fractional_rk,
     lognormal_survival,
     percentile_cutoff,
     rk_from_rank1s,
@@ -41,7 +40,6 @@ from .synthdist import (
     EnsembleConfig,
     LognormalSpec,
     build_grid,
-    combine_series,
     generate_ensemble,
     load_config,
     sample_series,
@@ -55,7 +53,6 @@ __all__ = [
     "EnsembleConfig",
     "LognormalSpec",
     "build_grid",
-    "combine_series",
     "generate_ensemble",
     "load_config",
     "sample_series",
@@ -75,7 +72,6 @@ __all__ = [
     "analytic_ptop",
     "count_uncited",
     "empirical_ptop",
-    "fractional_rk",
     "lognormal_survival",
     "percentile_cutoff",
     "rk_from_rank1s",

@@ -159,14 +159,3 @@ def count_uncited(series: CitationSeries) -> int:
     if series.origin != REAL:
         raise OriginError("uncited counting is undefined for synthetic series")
     return int(np.count_nonzero(series.values == 0))
-
-
-def fractional_rk(rk: RkResult, local_share: float) -> float:
-    """Scale an Rk-index by a unit's share of the collaboration.
-
-    Experimental: the share semantics (addresses vs authors, averaging)
-    are left to the caller.  Outputs using it should be marked as such.
-    """
-    if not 0 < local_share <= 1:
-        raise ValueError(f"local_share must be in (0, 1], got {local_share}")
-    return rk.rk * local_share

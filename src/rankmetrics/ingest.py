@@ -16,7 +16,6 @@ from __future__ import annotations
 import csv
 import json
 import warnings
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,15 +51,6 @@ class UnknownCountryError(DataError):
 
 class EmptyCorpusError(DataError):
     pass
-
-
-@dataclass(frozen=True)
-class PaperRecord:
-    id: str
-    year: int
-    citations: int
-    countries: tuple[str, ...]
-    field: str | None = None
 
 
 @dataclass(frozen=True)
@@ -127,70 +117,23 @@ class CorpusMeta:
 
 
 @dataclass(frozen=True, eq=False)
-class Corpus(Sequence):
+class Corpus:
     """A corpus held as columns, one entry per paper, in file order.
 
     Paper i's countries are the codes `indices[indptr[i]:indptr[i + 1]]`
     (compressed sparse rows) in the order its row first lists them, and
     `countries[code]` names a code.  Ids are unique, and a paper lists a
-    country at most once.  As a sequence the corpus yields `PaperRecord`s,
-    built on demand.
+    country at most once.
     """
 
     ids: list[str]
-    years: list[int]
     citations: np.ndarray  # int64
-    fields: list[str | None]
     countries: tuple[str, ...]
     indptr: np.ndarray
     indices: np.ndarray
 
-    @classmethod
-    def from_records(cls, records) -> "Corpus":
-        """Columns of any sequence of `PaperRecord`s; a corpus is returned as is."""
-        if isinstance(records, Corpus):
-            return records
-        ids = [r.id for r in records]
-        if len(set(ids)) < len(ids):
-            ordered = sorted(ids)
-            duplicate = next(a for a, b in zip(ordered, ordered[1:]) if a == b)
-            raise DataError(f"duplicate id {duplicate!r}")
-        code_of, indptr, indices = {}, [0], []
-        for r in records:
-            # a record naming a country twice names it once, as a file row does
-            for code in dict.fromkeys(r.countries):
-                indices.append(code_of.setdefault(code, len(code_of)))
-            indptr.append(len(indices))
-        return cls(
-            ids=ids,
-            years=[r.year for r in records],
-            citations=np.array([r.citations for r in records], dtype=np.int64),
-            fields=[r.field for r in records],
-            countries=tuple(code_of),
-            indptr=np.array(indptr, dtype=np.int64),
-            indices=np.array(indices, dtype=np.int64),
-        )
-
     def __len__(self) -> int:
         return len(self.ids)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(len(self))[i]]
-        i = range(len(self))[i]
-        codes = self.indices[self.indptr[i]:self.indptr[i + 1]].tolist()
-        return PaperRecord(
-            id=self.ids[i], year=self.years[i], citations=int(self.citations[i]),
-            countries=tuple(self.countries[c] for c in codes), field=self.fields[i],
-        )
-
-    def __iter__(self):
-        codes = [self.countries[c] for c in self.indices.tolist()]
-        bounds = self.indptr.tolist()
-        columns = zip(self.ids, self.years, self.citations.tolist(), self.fields)
-        for i, (paper_id, year, citations, field_tag) in enumerate(columns):
-            countries = tuple(codes[bounds[i]:bounds[i + 1]])
-            yield PaperRecord(paper_id, year, citations, countries, field_tag)
 
     def world_ranks(self, tie_policy: str = ORDINAL) -> np.ndarray:
         """Each paper's world rank, in row order.
@@ -281,7 +224,8 @@ def load_corpus(path, meta: CorpusMeta | None = None) -> CorpusLoadResult:
 
     Header must be ``id,year,citations,countries`` with an optional
     trailing ``field`` column; countries are semicolon-separated codes.
-    Only an unusable header aborts the load.
+    Each year is checked against the publication window, and neither the
+    year nor the field is kept.  Only an unusable header aborts the load.
     """
     # utf-8-sig drops the byte-order mark spreadsheet exports put first
     try:
@@ -306,15 +250,15 @@ def _read_corpus(reader, path, meta: CorpusMeta | None) -> CorpusLoadResult:
         raise CorpusFormatError(
             f"{path}: header must be id,year,citations,countries[,field], got {header}"
         )
-    has_field = len(header) == 5
     columns = len(header)
     window = meta.pub_window if meta is not None else None
-    ids, years, citations, fields, indptr, indices = [], [], [], [], [0], []
+    ids, citations, indptr, indices = [], [], [0], []
     errors, seen = [], set()
-    # Each distinct year, count and countries text is converted and checked
-    # once.  Country codes are numbered as their cells are first parsed,
-    # and renumbered by first use in an accepted row at the end.
-    year_of, count_of, cell_codes, code_of = {}, {}, {}, {}
+    # Each distinct year text is checked once, and each distinct count and
+    # countries text converted and checked once; a year is not kept.
+    # Country codes are numbered as their cells are first parsed, and
+    # renumbered by first use in an accepted row at the end.
+    good_years, count_of, cell_codes, code_of = set(), {}, {}, {}
     end = reader.line_num
     for row in reader:
         # a row starts on the line after the last one the previous row spans
@@ -328,12 +272,11 @@ def _read_corpus(reader, path, meta: CorpusMeta | None) -> CorpusLoadResult:
             paper_id = row[0].strip()
             if not paper_id:
                 raise ValueError("empty id")
-            year = year_of.get(row[1])
-            if year is None:
+            if row[1] not in good_years:
                 year = int(row[1])
                 if window is not None and not window[0] <= year <= window[1]:
                     raise ValueError(f"year {year} outside publication window {window[0]}-{window[1]}")
-                year_of[row[1]] = year
+                good_years.add(row[1])
             count = count_of.get(row[2])
             if count is None:
                 count = int(row[2])
@@ -358,10 +301,7 @@ def _read_corpus(reader, path, meta: CorpusMeta | None) -> CorpusLoadResult:
             continue
         seen.add(paper_id)
         ids.append(paper_id)
-        years.append(year)
         citations.append(count)
-        if has_field:
-            fields.append(row[4].strip() or None)
         indices.extend(codes)
         indptr.append(len(indices))
     # A rejected duplicate-id row may name a country first, or one that no
@@ -374,8 +314,7 @@ def _read_corpus(reader, path, meta: CorpusMeta | None) -> CorpusLoadResult:
     renumber[order] = np.arange(order.size)
     names = list(code_of)
     corpus = Corpus(
-        ids=ids, years=years, citations=np.array(citations, dtype=np.int64),
-        fields=fields if has_field else [None] * len(ids),
+        ids=ids, citations=np.array(citations, dtype=np.int64),
         countries=tuple(names[code] for code in order.tolist()),
         indptr=np.array(indptr, dtype=np.int64), indices=renumber[indices],
     )
@@ -384,12 +323,11 @@ def _read_corpus(reader, path, meta: CorpusMeta | None) -> CorpusLoadResult:
 
 # `split_country` and `corpus_world_ranks` serve tests only, but
 # perfbench/spans.py wraps both by name and fails if either is missing.
-def split_country(records: Sequence[PaperRecord], country: str) -> CountrySplit:
+def split_country(corpus: Corpus, country: str) -> CountrySplit:
     """Partition a country's papers: single-affiliation vs multinational.
 
     Papers not mentioning the country belong to neither list.
     """
-    corpus = Corpus.from_records(records)
     paper, collaborative = corpus.incidence()
     mine = corpus.indices == corpus.code(country)
     papers, collaborative = paper[mine], collaborative[mine]
@@ -401,14 +339,13 @@ def split_country(records: Sequence[PaperRecord], country: str) -> CountrySplit:
     )
 
 
-def corpus_world_ranks(records: Sequence[PaperRecord], tie_policy: str = ORDINAL) -> dict[str, int]:
+def corpus_world_ranks(corpus: Corpus, tie_policy: str = ORDINAL) -> dict[str, int]:
     """Global rank per paper id over the whole corpus (`Corpus.world_ranks`)."""
-    corpus = Corpus.from_records(records)
     return dict(zip(corpus.ids, corpus.world_ranks(tie_policy).tolist()))
 
 
 def assess(
-    records: Sequence[PaperRecord],
+    corpus: Corpus,
     countries: list[str],
     k: int = DEFAULT_K,
     offset: float = DEFAULT_OFFSET,
@@ -420,7 +357,6 @@ def assess(
     The world includes every paper regardless of split, so a country's
     domestic ranks still compete with everyone's collaborative papers.
     """
-    corpus = Corpus.from_records(records)
     world_size = len(corpus)
     ranks = corpus.world_ranks(tie_policy)
     # One sorted key per (country, split, paper): the unit 2 * code +

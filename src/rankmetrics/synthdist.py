@@ -205,8 +205,10 @@ def build_grid(config: EnsembleConfig) -> list[LognormalSpec]:
     The default study grid (mu 4.0 -> 2.0 over 200 values, sizes
     800/400/200) yields 600 series totaling 280,000 papers.  The config
     has checked every size >= 1 and the sigma is `DEFAULT_SIGMA`, so the
-    specs are built without `LognormalSpec`'s checks.
+    specs are built without `LognormalSpec`'s checks.  A grid too large
+    to sample is refused before its mu values or labels are built.
     """
+    _paper_buffer(config)
     cells = itertools.product(config.mu_values().tolist(), config.sizes)
     specs = []
     for label, (mu, n) in zip(_grid_labels(len(config.sizes) * config.mu_count), cells):
@@ -214,6 +216,16 @@ def build_grid(config: EnsembleConfig) -> list[LognormalSpec]:
         spec.__dict__.update(label=label, mu=mu, sigma=DEFAULT_SIGMA, n=n)
         specs.append(spec)
     return specs
+
+
+def _paper_buffer(config: EnsembleConfig) -> np.ndarray:
+    """An uninitialised float64 buffer for every paper of the grid."""
+    try:
+        return np.empty(config.total_papers)
+    except (MemoryError, ValueError):  # ValueError: the byte count overflows
+        raise GridError(
+            f"a grid of {config.total_papers} papers is too large to allocate"
+        ) from None
 
 
 @functools.cache
@@ -356,17 +368,6 @@ def _positive_finite(values: np.ndarray) -> bool:
     return bool(values.min() > 0 and values.max() < math.inf)
 
 
-def combine_series(parts: list[CitationSeries], new_label: str) -> CitationSeries:
-    """Concatenate several series into one under a new label."""
-    if not parts:
-        raise ValueError("cannot combine an empty list of series")
-    origins = {p.origin for p in parts}
-    if len(origins) > 1:
-        raise ValueError(f"cannot combine series of mixed origin {sorted(origins)}")
-    values = np.concatenate([p.values for p in parts])
-    return CitationSeries(new_label, values, origin=parts[0].origin)
-
-
 @dataclass(frozen=True)
 class Ensemble:
     """A generated grid: specs and their sampled series, index-aligned."""
@@ -394,12 +395,7 @@ def generate_ensemble(config: EnsembleConfig) -> Ensemble:
     does per series; each series is a read-only view of it.
     """
     specs = build_grid(config)
-    try:
-        values = np.empty(config.total_papers)
-    except (MemoryError, ValueError):  # ValueError: the byte count overflows
-        raise GridError(
-            f"a grid of {config.total_papers} papers is too large to allocate"
-        ) from None
+    values = _paper_buffer(config)
     ends = itertools.accumulate(spec.n for spec in specs)
     spans = [slice(end - spec.n, end) for spec, end in zip(specs, ends)]
     rngs = _stream_generators(config.seed, range(len(specs)))

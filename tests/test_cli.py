@@ -142,15 +142,16 @@ def test_ptop_corpus_matches_rk_and_brute_force(tmp_path, capsys, tie_policy, sp
     (ptop_row,) = json.loads(capsys.readouterr().out)
     assert (ptop_row["p"], ptop_row["p0"], ptop_row["rk"]) == (rk_row["p"], rk_row["p0"], rk_row["rk"])
 
-    records = load_corpus(path).records
-    rank_of = corpus_world_ranks(records, tie_policy=tie_policy)
-    members = [r for r in records
-               if "USA" in r.countries and (len(r.countries) == 1) == (split == "domestic")]
+    rank_of = corpus_world_ranks(load_corpus(path).records, tie_policy=tie_policy)
+    # every row of the file is valid: the members are read off its text
+    rows = [line.split(",") for line in TIED_CORPUS.splitlines()[1:]]
+    members = [(paper_id, int(citations)) for paper_id, _, citations, countries in rows
+               if "USA" in countries.split(";") and (";" not in countries) == (split == "domestic")]
     assert rk_row["p"] == len(members)
-    assert rk_row["p0"] == sum(1 for r in members if r.citations == 0)
+    assert rk_row["p0"] == sum(1 for _, citations in members if citations == 0)
     for x in xs:
-        cutoff = math.floor(Fraction(x) * len(records) / 100)
-        assert ptop_row[f"ptop_{x}"] == sum(1 for r in members if rank_of[r.id] <= cutoff)
+        cutoff = math.floor(Fraction(x) * len(rows) / 100)
+        assert ptop_row[f"ptop_{x}"] == sum(1 for paper_id, _ in members if rank_of[paper_id] <= cutoff)
 
 
 def test_ptop_synthetic_table(tmp_path, small_cfg, capsys):
@@ -314,15 +315,25 @@ def test_assess_refuses_a_repeated_country(tmp_path, corpus_csv, capsys):
 
 
 def test_grid_too_large_to_allocate_is_a_data_error(tmp_path, capsys):
-    # the byte count of 2**61 values overflows, so nothing is allocated
-    path = tmp_path / "huge.cfg"
-    path.write_text(f"mu_start = 3.0\nmu_end = 3.0\nmu_count = 1\nsizes = {2**61}\nseed = 1\n")
+    # the byte count of 2**61 values overflows, so nothing is allocated; a
+    # grid of 2**61 mu values is refused before its mu values are built
+    wide = tmp_path / "wide.cfg"
+    wide.write_text(f"mu_start = 3.0\nmu_end = 3.0\nmu_count = 1\nsizes = {2**61}\nseed = 1\n")
+    tall = tmp_path / "tall.cfg"
+    tall.write_text(f"mu_start = 3.0\nmu_end = 2.0\nmu_count = {2**61}\nsizes = 1\nseed = 1\n")
     out = tmp_path / "out"
-    assert main(["gen", "--config", str(path), "--out", str(out)]) == 1
-    captured = capsys.readouterr()
-    assert captured.err == f"error: a grid of {2**61} papers is too large to allocate\n"
-    assert captured.out == ""
-    assert not out.exists()
+    runs = [["gen", "--config", str(wide)]]
+    for command in ("gen", "tables1", "fig1", "fig2", "fig3", "fig4"):
+        runs.append([command, "--config", str(tall)])
+    runs.append(["ptop", "--config", str(tall), "--x", "10"])
+    runs.append(["rank", "--config", str(tall)])
+    runs.append(["rank", "--config", str(tall), "--labels", "aa"])
+    for argv in runs:
+        assert main([*argv, "--out", str(out)]) == 1, argv
+        captured = capsys.readouterr()
+        assert captured.err == f"error: a grid of {2**61} papers is too large to allocate\n", argv
+        assert captured.out == ""
+        assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -15,7 +15,6 @@ from rankmetrics.indicators import (
     analytic_ptop,
     count_uncited,
     empirical_ptop,
-    fractional_rk,
     lognormal_survival,
     percentile_cutoff,
     rk_from_rank1s,
@@ -235,16 +234,6 @@ def test_count_uncited():
 def test_count_uncited_rejects_synthetic():
     with pytest.raises(OriginError):
         count_uncited(CitationSeries("u", [1.0, 2.0], origin="synthetic"))
-
-
-def test_fractional_rk():
-    rk = RkResult(label="x", rk=10.0)
-    assert fractional_rk(rk, 1.0) == 10.0
-    assert fractional_rk(rk, 0.5) == 5.0
-    with pytest.raises(ValueError):
-        fractional_rk(rk, 0.0)
-    with pytest.raises(ValueError):
-        fractional_rk(rk, 1.2)
 
 
 def test_percentile_additivity_example():

@@ -17,7 +17,6 @@ from rankmetrics.synthdist import (
     GridError,
     LognormalSpec,
     build_grid,
-    combine_series,
     generate_ensemble,
     load_config,
     sample_series,
@@ -143,37 +142,6 @@ def test_log_values_pass_ks_in_most_seeds():
         stat = scipy.stats.kstest(np.log(series.values), "norm", args=(3.0, 1.1))
         passed += stat.pvalue > 0.01
     assert passed >= 0.95 * len(seeds)
-
-
-def test_combine_sizes():
-    parts = [
-        sample_series(LognormalSpec("a", 3.0, 1.1, 800), 1, 0),
-        sample_series(LognormalSpec("b", 3.0, 1.1, 800), 1, 1),
-        sample_series(LognormalSpec("c", 3.0, 1.1, 400), 1, 2),
-    ]
-    combined = combine_series(parts, "big")
-    assert combined.n == 2000
-    assert combined.label == "big"
-    assert np.array_equal(combined.values[:800], parts[0].values)
-
-
-def test_combine_single_identity():
-    part = sample_series(LognormalSpec("a", 3.0, 1.1, 50), 1, 0)
-    relabeled = combine_series([part], "z")
-    assert relabeled.label == "z"
-    assert np.array_equal(relabeled.values, part.values)
-
-
-def test_combine_empty_rejected():
-    with pytest.raises(ValueError):
-        combine_series([], "x")
-
-
-def test_combine_mixed_origin_rejected():
-    synth = CitationSeries("a", [1.0, 2.0], origin=SYNTHETIC)
-    real = CitationSeries("b", [1, 2], origin=REAL)
-    with pytest.raises(ValueError):
-        combine_series([synth, real], "x")
 
 
 def test_ensemble_reproducible_and_order_free():
