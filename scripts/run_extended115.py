@@ -15,7 +15,9 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 import numpy as np
 
-from rankmetrics.experiments import extended_grid, run_fig4, write_report
+from rankmetrics.experiments import (
+    EQUIV_RANGE_01, EQUIV_RANGE_001, extended_grid, run_fig4, write_report,
+)
 
 
 def main():
@@ -29,8 +31,8 @@ def main():
     print(f"fig4: {len(report.rows)} rows -> {paths[0]}")
 
     for ratio_col, flag_col, bounds in (
-        ("rk_over_ptop_0.1", "in_equiv_0.1", (0.5, 39.5)),
-        ("rk_over_ptop_0.01", "in_equiv_0.01", (1.0, 39.5)),
+        ("rk_over_ptop_0.1", "in_equiv_0.1", EQUIV_RANGE_01),
+        ("rk_over_ptop_0.01", "in_equiv_0.01", EQUIV_RANGE_001),
     ):
         ratios = np.array([row[ratio_col] for row in report.rows])
         inside = np.array([row[flag_col] for row in report.rows])

@@ -20,7 +20,9 @@ import numpy as np
 
 from . import __version__
 from .errors import DataError
-from .indicators import PercentileCutoffError, analytic_ptop, rk_rows
+from .indicators import (
+    DEFAULT_K, DEFAULT_OFFSET, DEFAULT_SCALE, PercentileCutoffError, analytic_ptop, rk_rows,
+)
 from .rankcore import ORDINAL, RankQuery, build_world, geometric_means
 from .synthdist import Ensemble, EnsembleConfig, generate_ensemble
 from .table import write_table
@@ -128,28 +130,17 @@ def top_rank1s(world: RankQuery, labels, k: int) -> np.ndarray:
 
 
 def _units(ensemble: Ensemble, labels, k: int, tie_policy: str):
-    """The ensemble's world, the specs and (units, k) top-k rank1s of the
-    labels, ranked in one query, and a check that refuses the rest.
+    """The ensemble's world, the labels' specs and their (units, k) top-k
+    rank1s, ranked in one query.
 
-    The query ranks the labels before the first one it would refuse, and
-    the check raises that refusal.  A study calls the check after its
-    per-unit work on the ranked rows, so errors come in the order of a
-    study that ranks one unit at a time: the first unit's rank error, then
-    a world-level error such as a `PercentileCutoffError` (raised on the
-    first unit), then a later unit's rank error.  The rank query sees each
-    label before its spec is read, so it refuses an unknown one.
+    The query refuses the first label that names no unit or a unit of
+    fewer than k papers, before a study does any per-unit work, so a
+    refused selection is reported ahead of a world-level error such as a
+    `PercentileCutoffError`.
     """
     world = build_world(list(ensemble.series), tie_policy=tie_policy)
-    labels = list(labels)
-    ranked = labels[:world.rankable(labels, k) or 1]
-    ranks = top_rank1s(world, ranked, k)
-    refused = labels[len(ranked):]
-
-    def check_rest():
-        if refused:
-            world.top_rank1s(refused[0], k)
-
-    return world, [ensemble.spec_by_label[label] for label in ranked], ranks, check_rest
+    ranks = top_rank1s(world, labels, k)
+    return world, [ensemble.spec_by_label[label] for label in labels], ranks
 
 
 def _join_ranks(ranks: np.ndarray) -> str:
@@ -173,7 +164,7 @@ def sample_positions(total: int, sample_size: int) -> list[int]:
 
 
 def run_table_s1(
-    ensemble: Ensemble, sample_size: int = 15, k: int = 10, tie_policy: str = ORDINAL
+    ensemble: Ensemble, sample_size: int = 15, k: int = DEFAULT_K, tie_policy: str = ORDINAL
 ) -> ExperimentReport:
     """Dual-rank table for an evenly spaced sample of series.
 
@@ -182,7 +173,7 @@ def run_table_s1(
     """
     positions = sample_positions(len(ensemble.specs), sample_size)
     labels = [ensemble.specs[pos].label for pos in positions]
-    _, specs, ranks, check_rest = _units(ensemble, labels, k, tie_policy)
+    _, specs, ranks = _units(ensemble, labels, k, tie_policy)
     ratios = np.arange(1, k + 1) / ranks
     rows = []
     for spec, rank1s, unit_ratios, gm in zip(
@@ -200,7 +191,6 @@ def run_table_s1(
                     "gm_ratio": gm,
                 }
             )
-    check_rest()
     params = _base_parameters(
         ensemble.config, tie_policy, sample_size=sample_size, k=k,
         selection="evenly spaced over grid order, endpoints included",
@@ -232,14 +222,14 @@ def select_99(ensemble: Ensemble, mu_picks: int = 33) -> list[str]:
 
 def run_fig1(
     ensemble: Ensemble,
-    k: int = 10,
-    offset: float = 20.0,
-    scale: float = 1000.0,
+    k: int = DEFAULT_K,
+    offset: float = DEFAULT_OFFSET,
+    scale: float = DEFAULT_SCALE,
     tie_policy: str = ORDINAL,
 ) -> ExperimentReport:
     """Collapse study: per selected series, the geometric means of inverse
     global ranks (raw and offset) against expected top-10% / top-0.1% counts."""
-    world, specs, ranks, check_rest = _units(ensemble, select_99(ensemble), k, tie_policy)
+    world, specs, ranks = _units(ensemble, select_99(ensemble), k, tie_policy)
     columns = zip(
         specs,
         rk_rows(ranks, offset=0.0, scale=1.0).tolist(),
@@ -262,26 +252,24 @@ def run_fig1(
                 "rank1s": _join_ranks(rank1s),
             }
         )
-    check_rest()
     params = _base_parameters(ensemble.config, tie_policy, k=k, offset=offset, scale=scale)
     return ExperimentReport(experiment_id="fig1", parameters=params, rows=rows)
 
 
 def run_fig2(
     ensemble: Ensemble,
-    k: int = 10,
-    offset: float = 20.0,
-    scale: float = 1000.0,
+    k: int = DEFAULT_K,
+    offset: float = DEFAULT_OFFSET,
+    scale: float = DEFAULT_SCALE,
     tie_policy: str = ORDINAL,
 ) -> ExperimentReport:
     """Stringency tiers: the 99 selected series split 33/33/33 by
     descending rank index, with expected counts for several percentiles."""
-    world, specs, ranks, check_rest = _units(ensemble, select_99(ensemble), k, tie_policy)
+    world, specs, ranks = _units(ensemble, select_99(ensemble), k, tie_policy)
     scored = []
     for spec, rk, rank1s in zip(specs, rk_rows(ranks, offset=offset, scale=scale).tolist(), ranks):
         ptops = {f"ptop_{x:g}": analytic_ptop(spec, world, x).value for x in FIG2_PERCENTILES}
         scored.append((rk, spec, ptops, rank1s))
-    check_rest()
     scored.sort(key=lambda e: (-e[0], e[1].label))
     third = len(scored) // 3
     rows = [
@@ -307,9 +295,9 @@ def run_ptop(
     ensemble: Ensemble,
     xs,
     labels: str | None = None,
-    k: int = 10,
-    offset: float = 20.0,
-    scale: float = 1000.0,
+    k: int = DEFAULT_K,
+    offset: float = DEFAULT_OFFSET,
+    scale: float = DEFAULT_SCALE,
     tie_policy: str = ORDINAL,
 ) -> ExperimentReport:
     """Expected top-x% counts and the rank index of chosen series.
@@ -318,7 +306,7 @@ def run_ptop(
     as given; when empty or None the 99 triple-selected series are used.
     """
     chosen = labels.split(",") if labels else select_99(ensemble)
-    world, specs, ranks, check_rest = _units(ensemble, chosen, k, tie_policy)
+    world, specs, ranks = _units(ensemble, chosen, k, tie_policy)
     rows = []
     for spec in specs:
         row = {"label": spec.label, "mu": spec.mu, "n": spec.n}
@@ -327,7 +315,6 @@ def run_ptop(
         rows.append(row)
     for row, rk in zip(rows, rk_rows(ranks, offset=offset, scale=scale).tolist()):
         row["rk"] = rk
-    check_rest()
     params = _base_parameters(
         ensemble.config, tie_policy, x=list(xs), labels=labels, k=k, offset=offset, scale=scale
     )
@@ -342,9 +329,9 @@ def run_fig3(
     ensemble: Ensemble,
     mu_targets: tuple[float, float] = (3.63, 3.03),
     size_pair: tuple[int, int] = (800, 200),
-    k: int = 10,
-    offset: float = 20.0,
-    scale: float = 1000.0,
+    k: int = DEFAULT_K,
+    offset: float = DEFAULT_OFFSET,
+    scale: float = DEFAULT_SCALE,
     tie_policy: str = ORDINAL,
 ) -> ExperimentReport:
     """Size/efficiency study: rank traces of four series crossing two mu
@@ -357,7 +344,7 @@ def run_fig3(
     width = len(config.sizes)
     labels = [ensemble.specs[nearest_mu_index(config, mu) * width + config.sizes.index(n)].label
               for mu in mu_targets for n in size_pair]
-    _, specs, ranks, check_rest = _units(ensemble, labels, k, tie_policy)
+    _, specs, ranks = _units(ensemble, labels, k, tie_policy)
     rows = []
     for spec, rk, rank1s in zip(specs, rk_rows(ranks, offset=offset, scale=scale).tolist(),
                                 ranks.tolist()):
@@ -372,7 +359,6 @@ def run_fig3(
                     "rk": rk,
                 }
             )
-    check_rest()
     params = _base_parameters(
         ensemble.config, tie_policy, k=k, offset=offset, scale=scale,
         mu_targets=list(mu_targets), size_pair=list(size_pair),
@@ -391,15 +377,15 @@ def extended_grid(seed: int) -> EnsembleConfig:
 
 def run_fig4(
     extended_config: EnsembleConfig,
-    k: int = 10,
-    offset: float = 20.0,
-    scale: float = 1000.0,
+    k: int = DEFAULT_K,
+    offset: float = DEFAULT_OFFSET,
+    scale: float = DEFAULT_SCALE,
     tie_policy: str = ORDINAL,
 ) -> ExperimentReport:
     """Equivalence ranges: rank-index to top-percentile ratios per series,
     flagged where the index may substitute for the percentile count."""
     ensemble = generate_ensemble(extended_config)
-    world, specs, ranks, check_rest = _units(ensemble, ensemble.labels, k, tie_policy)
+    world, specs, ranks = _units(ensemble, ensemble.labels, k, tie_policy)
     rows = []
     for spec, rk, rank1s in zip(specs, rk_rows(ranks, offset=offset, scale=scale).tolist(), ranks):
         p01 = analytic_ptop(spec, world, 0.1).value
@@ -425,7 +411,6 @@ def run_fig4(
                 "rank1s": _join_ranks(rank1s),
             }
         )
-    check_rest()
     params = _base_parameters(
         extended_config, tie_policy, k=k, offset=offset, scale=scale,
         equiv_range_01=list(EQUIV_RANGE_01), equiv_range_001=list(EQUIV_RANGE_001),

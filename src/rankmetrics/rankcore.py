@@ -132,15 +132,6 @@ class RankQuery:
         the one-row case of `top_rank1s_many`."""
         return self.top_rank1s_many([label], k)[0]
 
-    def rankable(self, labels, k: int) -> int:
-        """How many leading `labels` a top-k query accepts: the position of
-        the first one naming no unit or a unit of fewer than k papers."""
-        for i, label in enumerate(labels):
-            series = self._series.get(label)
-            if series is None or series.n < k:
-                return i
-        return len(labels)
-
     def top_rank1s_many(self, labels, k: int) -> np.ndarray:
         """Global ranks of each unit's k locally best papers: a (units, k)
         int64 matrix, one row per label in local order.  The first label

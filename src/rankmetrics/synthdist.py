@@ -265,22 +265,18 @@ def _uint32_words(n: int) -> list[int]:
 
 
 def _stream_states(seed: int, stream_ids) -> np.ndarray:
-    """Row r is `SeedSequence((seed, stream_ids[r])).generate_state(4, np.uint64)`:
-    numpy's hash, run for every stream at once in uint32 arithmetic."""
-    seed_words = _uint32_words(seed)
-    id_width = len(_uint32_words(max(stream_ids)))
-    ids = np.array(stream_ids, dtype=np.uint64 if id_width <= 2 else object)
-    shifted = [ids >> (32 * k) for k in range(id_width)]
-    # an id's entropy is 1 word plus 1 per nonzero shift past the first; the 0
-    # words past a shorter id's end fill the pool as SeedSequence fills it,
-    # and past the pool they are skipped (`lengths`)
-    lengths = len(seed_words) + 1 + sum(s != 0 for s in shifted[1:])
-    entropy = [np.full(ids.size, w, np.uint32) for w in seed_words]
-    entropy += [(s & _MASK32).astype(np.uint32) for s in shifted]
+    """Row r is `SeedSequence((seed, stream_ids[r])).generate_state(4, np.uint64)`,
+    for a seed and stream ids below 2**64: numpy's hash, run for every stream
+    at once in uint32 arithmetic."""
+    ids = np.asarray(stream_ids, dtype=np.uint64)
+    # the seed's words, then each id as two words: at most 4 words, the pool's
+    # size, and SeedSequence fills the pool past a shorter entropy with 0 words,
+    # so an id below 2**32 reads the same as its two words
+    entropy = [np.full(ids.size, w, np.uint32) for w in _uint32_words(seed)]
+    entropy += [(ids & _MASK32).astype(np.uint32), (ids >> 32).astype(np.uint32)]
     entropy += [np.zeros(ids.size, np.uint32)] * (_POOL_SIZE - len(entropy))
-    # 4 fills, 12 cross-mixes, then 4 per word past the pool
-    calls = _POOL_SIZE * len(entropy)
-    hash_a = itertools.pairwise(_hash_constants(_INIT_A, _MULT_A, calls))
+    # 4 fills, then 12 cross-mixes
+    hash_a = itertools.pairwise(_hash_constants(_INIT_A, _MULT_A, _POOL_SIZE * _POOL_SIZE))
 
     def hashmix(value):
         xor, mult = next(hash_a)
@@ -291,16 +287,11 @@ def _stream_states(seed: int, stream_ids) -> np.ndarray:
         result = _MIX_MULT_L * x - _MIX_MULT_R * y
         return result ^ (result >> _XSHIFT)
 
-    pool = [hashmix(word) for word in entropy[:_POOL_SIZE]]
+    pool = [hashmix(word) for word in entropy]
     for src in range(_POOL_SIZE):
         for dst in range(_POOL_SIZE):
             if src != dst:
                 pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    # entropy past the pool is mixed into every pool word, for the streams that have it
-    for k in range(_POOL_SIZE, len(entropy)):
-        has_word = lengths > k
-        for dst in range(_POOL_SIZE):
-            pool[dst] = np.where(has_word, mix(pool[dst], hashmix(entropy[k])), pool[dst])
     state = np.empty((ids.size, 8), np.uint32)
     hash_b = itertools.pairwise(_hash_constants(_INIT_B, _MULT_B, 8))
     for i, (xor, mult) in enumerate(hash_b):
@@ -349,7 +340,7 @@ def sample_series(spec: LognormalSpec, seed: int, stream_id: int) -> CitationSer
     if stream_id < 0:
         raise ValueError("stream_id must be >= 0")
     values = np.empty(spec.n)
-    (rng,) = _stream_generators(seed, [stream_id])
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, stream_id))))
     rng.standard_normal(out=values)
     values *= spec.sigma
     values += spec.mu

@@ -26,6 +26,8 @@ from rankmetrics.ingest import corpus_world_ranks, load_corpus
 SMALL_CFG = (
     "mu_start = 4.0\nmu_end = 2.0\nmu_count = 33\nsizes = 800,400,200\nseed = 7\n"
 )
+# 2 mu values x sizes 800 and 200: the smallest grid fig3 runs on, 2,000 papers
+FIG3_CFG = "mu_start = 4.0\nmu_end = 2.0\nmu_count = 2\nsizes = 800,200\nseed = 7\n"
 
 CORPUS = (
     "id,year,citations,countries\n"
@@ -495,9 +497,8 @@ def test_meaningless_index_flags_are_data_errors(tmp_path, small_cfg, capsys, fl
         (["rank", "--labels", "aa,zz"], "unknown series label 'zz'"),
         (["ptop", "--labels", "aa,zz"], "unknown series label 'zz'"),
         (["rank", "--labels", "aa,zz", "--format", "json"], "unknown series label 'zz'"),
-        # each unit's cutoffs are checked before the next unit is ranked
-        (["ptop", "--labels", "aa,zz", "--x", "0.0001"],
-         "top 0.0001% of a world of 46200 papers holds no entries"),
+        # the whole selection is ranked before any unit's cutoffs are checked
+        (["ptop", "--labels", "aa,zz", "--x", "0.0001"], "unknown series label 'zz'"),
         (["ptop", "--labels", "zz,aa", "--x", "0.0001"], "unknown series label 'zz'"),
         # each cutoff names one ptop_{x:g} column
         (["ptop", "--x", "10,10"], "percentile 10 given twice"),
@@ -523,17 +524,59 @@ def test_out_of_range_selections_are_data_errors(tmp_path, small_cfg, capsys, ar
 @pytest.mark.parametrize(
     "sizes, message",
     [
-        # 858 papers: the top 0.1% holds no entries, which the first unit meets
-        ("12,9,5", "top 0.1% of a world of 858 papers holds no entries"),
+        # 858 papers: the top 0.1% holds no entries, but unit ab's shortfall
+        # refuses the selection, which is ranked first
+        ("12,9,5", "unit ab has 9 papers, 10 required"),
         ("40,9,5", "unit ab has 9 papers, 10 required"),
+        # 990 papers and every unit at --k: only the world-level error is left
+        ("10,10,10", "top 0.1% of a world of 990 papers holds no entries"),
     ],
 )
-def test_fig1_reports_a_later_short_unit_after_world_level_errors(tmp_path, capsys, sizes, message):
-    # the first selected unit (aa) holds at least --k papers, the second does not
+def test_fig1_reports_a_refused_selection_before_world_level_errors(
+    tmp_path, capsys, sizes, message
+):
+    # the first selected unit (aa) holds at least --k papers
     config = tmp_path / "grid.cfg"
     config.write_text(f"mu_start = 4.0\nmu_end = 2.0\nmu_count = 33\nsizes = {sizes}\nseed = 3\n")
     out = tmp_path / "out"
     assert main(["fig1", "--config", str(config), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
+# Grids whose first selected unit (aa) holds at least --k papers and a later
+# one fewer, with no other fault: short.cfg has 33 mu values x sizes 40,9,5;
+# fig4.cfg 13 x sizes 800,9, 10,517 papers, so its top 0.01% holds an entry;
+# fig3.cfg's units hold 800 and 200 papers.
+SHORT_UNIT_GRIDS = {
+    "short.cfg": "mu_start = 4.0\nmu_end = 2.0\nmu_count = 33\nsizes = 40,9,5\nseed = 3\n",
+    "fig4.cfg": "mu_start = 4.0\nmu_end = 2.0\nmu_count = 13\nsizes = 800,9\nseed = 3\n",
+    "fig3.cfg": FIG3_CFG,
+}
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # tables1 samples every 7th series: aa, then ah
+        (["tables1", "--config", "short.cfg"], "unit ah has 9 papers, 10 required"),
+        (["fig1", "--config", "short.cfg"], "unit ab has 9 papers, 10 required"),
+        (["fig2", "--config", "short.cfg"], "unit ab has 9 papers, 10 required"),
+        # both mu targets are nearest mu 4.0: aa, ab, aa, ab
+        (["fig3", "--config", "fig3.cfg", "--k", "201"], "unit ab has 200 papers, 201 required"),
+        (["fig4", "--config", "fig4.cfg"], "unit ab has 9 papers, 10 required"),
+        (["ptop", "--config", "short.cfg", "--x", "10"], "unit ab has 9 papers, 10 required"),
+    ],
+    ids=lambda value: value[0] if isinstance(value, list) else None,
+)
+def test_a_study_refuses_a_later_unit_before_writing(tmp_path, capsys, argv, message):
+    for name, text in SHORT_UNIT_GRIDS.items():
+        (tmp_path / name).write_text(text)
+    out = tmp_path / "out"
+    named = {name: str(tmp_path / name) for name in SHORT_UNIT_GRIDS}
+    assert main([*(named.get(token, token) for token in argv), "--out", str(out)]) == 1
     captured = capsys.readouterr()
     assert captured.err == f"error: {message}\n"
     assert captured.out == ""
@@ -663,8 +706,7 @@ FUZZ_FILES = {
     "countries.txt": b"# assess these\nUSA\n\nCHN\n",
     "nocountries.txt": b"# none\n",
     "latin1.txt": b"USA\n\xe9\n",
-    # 2 mu values x sizes 800 and 200: the smallest grid fig3 runs on, 2,000 papers
-    "fig3.cfg": b"mu_start = 4.0\nmu_end = 2.0\nmu_count = 2\nsizes = 800,200\nseed = 7\n",
+    "fig3.cfg": FIG3_CFG.encode(),
 }
 FILE_FLAGS = {
     "config": [n for n in FUZZ_FILES if n.endswith(".cfg")],
@@ -719,6 +761,8 @@ def fuzz_argv(draw):
             values = [*choices, *choices, "bogus"]
         elif dest in FILE_FLAGS:
             values = FILE_FLAGS[dest] + BAD_PATHS
+            if (command, dest) == ("fig3", "config"):  # the one grid fig3 runs on
+                values = ["fig3.cfg", *(value for value in values if value != "fig3.cfg")]
         elif dest == "out":
             values = ["out", *BAD_PATHS[1:]]
         else:

@@ -368,12 +368,10 @@ def test_many_label_query_matches_one_label_queries_and_oracle(world, tie_policy
         for label, row in zip(query, ranks.tolist()):
             assert row == index.top_rank1s(label, k).tolist()
             assert row == [r1 for r1, _, _ in expected[label][:k]]
-        assert index.rankable(query, k) == len(query)
     # the first label naming no unit or a unit shorter than k is refused
     k = max(sizes.values())
     labels = query + ["zz"]
     short = next(label for label in labels if sizes.get(label, 0) < k)
-    assert index.rankable(labels, k) == labels.index(short)
     error = UnknownLabelError if short == "zz" else InsufficientPapersError
     with pytest.raises(error, match=f"'{short}'" if short == "zz" else f"unit {short} has"):
         index.top_rank1s_many(labels, k)
