@@ -16,6 +16,7 @@ import json
 import math
 import os
 import sys
+import warnings
 
 from . import __version__, experiments, indicators, ingest, rankcore, synthdist, table
 from .errors import DataError, read_text
@@ -207,7 +208,13 @@ def load_run_config(args) -> synthdist.EnsembleConfig:
 def load_corpus_or_fail(args) -> ingest.Corpus:
     if not args.input:
         raise DataError("--input is required for this command")
-    meta = ingest.CorpusMeta.from_json(args.meta) if args.meta else None
+    meta = None
+    if args.meta:  # a sidecar's warnings print as diagnoses, one line each
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            meta = ingest.CorpusMeta.from_json(args.meta)
+        for warning in caught:
+            print(f"warning: {args.meta}: {warning.message}", file=sys.stderr)
     result = ingest.load_corpus(args.input, meta)
     if result.errors:
         for error in result.errors:
@@ -394,6 +401,8 @@ def corpus_parameters(args, **extra) -> dict:
 
 
 def cmd_assess(args) -> int:
+    if args.countries is not None and args.countries_file is not None:
+        raise DataError("give either --countries or --countries-file, not both")
     if args.countries is not None:
         countries = parse_list("--countries", args.countries.split(","), "country")
     elif args.countries_file:

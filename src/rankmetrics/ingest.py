@@ -256,8 +256,6 @@ def _read_corpus(reader, path, meta: CorpusMeta | None) -> CorpusLoadResult:
     errors, seen = [], set()
     # Each distinct year text is checked once, and each distinct count and
     # countries text converted and checked once; a year is not kept.
-    # Country codes are numbered as their cells are first parsed, and
-    # renumbered by first use in an accepted row at the end.
     good_years, count_of, cell_codes, code_of = set(), {}, {}, {}
     end = reader.line_num
     for row in reader:
@@ -265,7 +263,10 @@ def _read_corpus(reader, path, meta: CorpusMeta | None) -> CorpusLoadResult:
         line, end = end + 1, reader.line_num
         if not row:
             continue
-        # The checks run in this order and the first failing one names the row.
+        # The checks run in this order and the first failing one names the
+        # row.  The countries cell comes last, so a cell that names a
+        # country is first parsed in an accepted row: codes numbered as
+        # cells are first parsed number countries by first use.
         try:
             if len(row) != columns:
                 raise ValueError(f"expected {columns} columns, got {len(row)}")
@@ -286,6 +287,8 @@ def _read_corpus(reader, path, meta: CorpusMeta | None) -> CorpusLoadResult:
                     # counts rank as float64, exact only up to 2**53
                     raise ValueError(f"citation count above 2**53 ({MAX_CITATIONS})")
                 count_of[row[2]] = count
+            if paper_id in seen:
+                raise ValueError(f"duplicate id {paper_id!r}")
             codes = cell_codes.get(row[3])
             if codes is None:
                 names = dict.fromkeys(name.strip() for name in row[3].split(";"))
@@ -294,8 +297,6 @@ def _read_corpus(reader, path, meta: CorpusMeta | None) -> CorpusLoadResult:
                 cell_codes[row[3]] = codes
             if not codes:
                 raise ValueError("empty country list")
-            if paper_id in seen:
-                raise ValueError(f"duplicate id {paper_id!r}")
         except ValueError as exc:
             errors.append(RowError(line=line, message=str(exc)))
             continue
@@ -304,19 +305,9 @@ def _read_corpus(reader, path, meta: CorpusMeta | None) -> CorpusLoadResult:
         citations.append(count)
         indices.extend(codes)
         indptr.append(len(indices))
-    # A rejected duplicate-id row may name a country first, or one that no
-    # accepted row names: number the codes by first use in an accepted row.
-    indices = np.array(indices, dtype=np.int64)
-    first = np.full(len(code_of), indices.size)
-    np.minimum.at(first, indices, np.arange(indices.size))
-    order = np.argsort(first)[:np.count_nonzero(first < indices.size)]
-    renumber = np.empty(len(code_of), dtype=np.int64)
-    renumber[order] = np.arange(order.size)
-    names = list(code_of)
     corpus = Corpus(
-        ids=ids, citations=np.array(citations, dtype=np.int64),
-        countries=tuple(names[code] for code in order.tolist()),
-        indptr=np.array(indptr, dtype=np.int64), indices=renumber[indices],
+        ids=ids, citations=np.array(citations, dtype=np.int64), countries=tuple(code_of),
+        indptr=np.array(indptr, dtype=np.int64), indices=np.array(indices, dtype=np.int64),
     )
     return CorpusLoadResult(records=corpus, errors=errors)
 

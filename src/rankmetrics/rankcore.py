@@ -89,6 +89,9 @@ class RankQuery:
     under the competition policy tied values share their block's
     smallest rank.  A query selects each unit's top k into one matrix,
     then counts the world entries above each of them in the sorted values.
+    Under the ordinal policy a unit whose top values tie another world
+    entry reads its ranks from that order itself: one stable sort of the
+    label-ordered values, descending.
     """
 
     def __init__(self, series: list[CitationSeries], tie_policy: str = ORDINAL):
@@ -104,10 +107,7 @@ class RankQuery:
             raise ValueError("cannot build a world from all-empty series")
         self.tie_policy = tie_policy
         self.labels = tuple(sorted(self._series))
-        self._codes = {label: code for code, label in enumerate(self.labels)}
-        ordered = [self._series[label] for label in self.labels]
-        self._sizes = [s.n for s in ordered]
-        self._asc = np.concatenate([s.values for s in ordered])
+        self._asc = np.concatenate([self._series[label].values for label in self.labels])
         self._asc.sort()
 
     @property
@@ -155,37 +155,21 @@ class RankQuery:
         rank1 = self.size - right + 1  # competition: 1 + entries strictly above
         if self.tie_policy == ORDINAL:
             left = np.searchsorted(self._asc, values, side="left")
-            tied = np.flatnonzero(np.any(right - left > 1, axis=1))
-            if tied.size:
-                # Equal values order by label: count the equal entries of
-                # units whose label sorts first, then this unit's equal
-                # entries that precede in local order (values run descending).
-                codes = np.array([self._codes[labels[row]] for row in tied.tolist()])
-                count = len(self._sizes)
-                tie_keys = self._tie_keys
-                left, values = left[tied], values[tied]
-                first = tie_keys[left] // count * count + codes[:, None]
-                before = np.searchsorted(tie_keys, first, side="left") - left
-                # column of the first entry equal to each value in its row
-                starts = np.ones(values.shape, dtype=bool)
-                starts[:, 1:] = values[:, 1:] != values[:, :-1]
-                columns = np.arange(k)
-                rank1[tied] += before + columns - np.maximum.accumulate(
-                    np.where(starts, columns, 0), axis=1
-                )
+            for row in np.flatnonzero(np.any(right - left > 1, axis=1)).tolist():
+                rank1[row] = self._ordinal_ranks[labels[row]][:k]
         return rank1
 
     @cached_property
-    def _tie_keys(self) -> np.ndarray:
-        """(run of equal values, label code) of each entry in ascending value
-        order, packed into one nondecreasing integer.  Built on the first
-        query that meets a tie: a stable sort of the label-ordered values
-        keeps each run in label order."""
-        codes = np.repeat(np.arange(len(self._sizes)), self._sizes)
+    def _ordinal_ranks(self) -> dict[str, np.ndarray]:
+        """Each unit's ordinal world ranks, ascending.  Built on the first
+        ordinal query that meets a tie: a stable sort of the label-ordered
+        values, descending, is the (value descending, label, position)
+        world order."""
         values = np.concatenate([self._series[label].values for label in self.labels])
-        codes = codes[np.argsort(values, kind="stable")]
-        runs = np.r_[0, np.cumsum(self._asc[1:] != self._asc[:-1])]
-        return runs * len(self._sizes) + codes
+        ranks = np.empty(values.size, dtype=np.int64)
+        ranks[np.argsort(-values, kind="stable")] = np.arange(1, values.size + 1)
+        ends = np.cumsum([self._series[label].n for label in self.labels])
+        return {label: np.sort(unit) for label, unit in zip(self.labels, np.split(ranks, ends[:-1]))}
 
 
 def build_world(series: list[CitationSeries], tie_policy: str = ORDINAL) -> RankQuery:

@@ -290,6 +290,34 @@ def test_assess_without_countries_is_data_error(tmp_path, corpus_csv, capsys, ar
     assert not (tmp_path / "out").exists()
 
 
+def test_assess_refuses_both_country_flags(tmp_path, corpus_csv, capsys):
+    countries = tmp_path / "countries.txt"
+    countries.write_text("CHN\n")
+    out = tmp_path / "out"
+    argv = ["--countries", "USA", "--countries-file", str(countries), "--out", str(out)]
+    assert main(["assess", "--input", corpus_csv, *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: give either --countries or --countries-file, not both\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_sidecar_warning_prints_as_a_diagnosis(tmp_path, corpus_csv, capsys):
+    meta = tmp_path / "meta.json"
+    meta.write_text('{"pub_window": [2014, 2017], "cit_window": [2020, 2023]}')
+    out = tmp_path / "out"
+    argv = ["assess", "--input", corpus_csv, "--countries", "USA", "--out", str(out)]
+    assert main([*argv, "--meta", str(meta)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"warning: {meta}: citation window (2020, 2023) is not displaced 5 years "
+        "from publication window (2014, 2017)\n"
+    )
+    shutil.rmtree(out)
+    assert main(argv) == 0
+    assert capsys.readouterr() == (captured.out, "")
+
+
 def test_label_lists_are_stripped(small_cfg, capsys):
     assert main(["rank", "--config", small_cfg, "--labels", "aa,ab", "--top", "2"]) == 0
     expected = capsys.readouterr().out
@@ -788,6 +816,15 @@ GOOD_STUDY_ARGVS = [
     for command, extra in (("fig3", []), ("tables1", ["--sample-size", "1"]))
     for seed in ("0", "7")
 ]
+# good argvs of the commands the fuzz strategy draws only failing runs of:
+# fig4 on the built-in grid, gen, and ptop on each input
+GOOD_OTHER_ARGVS = [
+    ["fig4", "--seed", "7", "--out", "out"],
+    ["gen", "--config", "fig3.cfg", "--out", "out"],
+    ["ptop", "--config", "fig3.cfg", "--labels", "aa,ab", "--x", "10", "--out", "out"],
+    ["ptop", "--input", "corpus.csv", "--country", "USA", "--split", "domestic", "--x", "10",
+     "--out", "out"],
+]
 
 
 @settings(max_examples=250, deadline=None, derandomize=True)
@@ -796,6 +833,10 @@ GOOD_STUDY_ARGVS = [
 @example(argv=GOOD_STUDY_ARGVS[1])
 @example(argv=GOOD_STUDY_ARGVS[2])
 @example(argv=GOOD_STUDY_ARGVS[3])
+@example(argv=GOOD_OTHER_ARGVS[0])
+@example(argv=GOOD_OTHER_ARGVS[1])
+@example(argv=GOOD_OTHER_ARGVS[2])
+@example(argv=GOOD_OTHER_ARGVS[3])
 def test_fuzzed_argv_exits_with_a_diagnosis(fuzz_dir, argv):
     """Any argv the parser's own flags can form, over defective inputs,
     exits 0, 1 or 2 and raises nothing else.  Exit 1 ends with one
@@ -831,6 +872,16 @@ def test_fuzz_grid_runs_the_studies(fuzz_dir, tmp_path, capsys, argv):
     assert [name.rsplit(".", 1)[1] for name in written] == ["csv", "json"]
     assert all(name.startswith(argv[0] + "_") for name in written)
     assert capsys.readouterr().out.split() == [str(out / name) for name in written]
+
+
+@pytest.mark.parametrize("argv", GOOD_OTHER_ARGVS, ids=" ".join)
+def test_fuzz_files_run_the_other_commands(fuzz_dir, tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    named = {"out": str(out), "fig3.cfg": str(fuzz_dir / "fig3.cfg"),
+             "corpus.csv": str(fuzz_dir / "corpus.csv")}
+    assert main([named.get(token, token) for token in argv]) == 0
+    written = sorted(str(p) for p in out.iterdir())
+    assert sorted(capsys.readouterr().out.split()) == written
 
 
 def run_main(argv, full_parser=False):

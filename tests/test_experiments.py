@@ -44,7 +44,8 @@ from rankmetrics.synthdist import (
 from rankmetrics.table import write_table
 
 SMALL_TRIPLE_GRID = EnsembleConfig(4.0, 2.0, 33, (800, 400, 200), seed=3)
-SMALL_GRID_CFG = Path(__file__).resolve().parents[1] / "configs" / "small_grid.cfg"
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+SMALL_GRID_CFG = CONFIGS / "small_grid.cfg"
 
 
 @pytest.fixture(scope="module")
@@ -472,3 +473,7 @@ def test_row_wise_index_equals_the_scalar_index_exactly(tie_policy):
     for block in blocks.values():
         gm = geometric_mean([row["ratio"] for row in block])
         assert all(row["gm_ratio"] == gm for row in block)
+
+
+def test_extended115_config_is_the_built_in_fig4_grid():
+    assert load_config(CONFIGS / "extended115.cfg") == extended_grid(20230615)

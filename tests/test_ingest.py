@@ -298,9 +298,7 @@ def oracle_load(lines, has_field, window):
             continue
         row = text.split(",")
         try:
-            record = oracle_parse_row(row, has_field, window)
-            if record.id in seen:
-                raise ValueError(f"duplicate id {record.id!r}")
+            record = oracle_parse_row(row, has_field, window, seen)
         except ValueError as exc:
             errors.append((line, str(exc)))
             continue
@@ -309,7 +307,7 @@ def oracle_load(lines, has_field, window):
     return records, errors
 
 
-def oracle_parse_row(row, has_field, window):
+def oracle_parse_row(row, has_field, window, seen):
     expected = 5 if has_field else 4
     if len(row) != expected:
         raise ValueError(f"expected {expected} columns, got {len(row)}")
@@ -324,6 +322,8 @@ def oracle_parse_row(row, has_field, window):
         raise ValueError(f"negative citation count {citations}")
     if citations > MAX_CITATIONS:
         raise ValueError(f"citation count above 2**53 ({MAX_CITATIONS})")
+    if paper_id in seen:
+        raise ValueError(f"duplicate id {paper_id!r}")
     countries = []
     for code in row[3].split(";"):
         if code.strip() and code.strip() not in countries:
@@ -444,6 +444,14 @@ def test_country_named_only_by_a_rejected_duplicate_is_unknown(tmp_path):
     assert paper_countries(corpus) == [("USA",), ("CHN",)]
     with pytest.raises(UnknownCountryError, match="'FRA'"):
         assess(corpus, ["FRA"])
+
+
+def test_a_duplicate_id_is_named_before_an_empty_country_list(tmp_path):
+    path = write_corpus(tmp_path, "p0,2015,0,USA\np0,2015,0,\np1,2015,0,\n")
+    result = load_corpus(path)
+    assert [(e.line, e.message) for e in result.errors] == [
+        (3, "duplicate id 'p0'"), (4, "empty country list"),
+    ]
 
 
 def test_countries_are_numbered_by_first_use_in_an_accepted_row(tmp_path):
