@@ -24,7 +24,6 @@ from .indicators import (
 from .rankcore import (
     COMPETITION,
     ORDINAL,
-    InsufficientPapersError,
     RankPair,
     RankQuery,
     TopKRanks,
@@ -58,7 +57,6 @@ __all__ = [
     "sample_series",
     "COMPETITION",
     "ORDINAL",
-    "InsufficientPapersError",
     "RankPair",
     "RankQuery",
     "TopKRanks",

@@ -270,7 +270,7 @@ def cmd_rank(args) -> int:
         known = {spec.label for spec in synthdist.build_grid(config)}
         for label in labels:
             if label not in known:
-                raise rankcore.UnknownLabelError(label)
+                raise DataError(f"unknown series label {label!r}")
     ensemble = synthdist.generate_ensemble(config)
     world = rankcore.build_world(list(ensemble.series), tie_policy=args.tie_policy)
     chunks = rankcore.rank_table_chunks(world, labels=labels, top=args.top)
@@ -339,7 +339,7 @@ def cmd_ptop(args) -> int:
     labels = parse_labels(args)
     ensemble = synthdist.generate_ensemble(config)
     report = experiments.run_ptop(
-        ensemble, xs, labels=",".join(labels) if labels else None, k=args.k,
+        ensemble, xs, labels=labels, k=args.k,
         offset=args.offset, scale=args.scale, tie_policy=args.tie_policy,
     )
     return emit(report, args)

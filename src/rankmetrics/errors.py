@@ -1,6 +1,7 @@
 """The one exception type for input a user can fix: every error a config,
-corpus, sidecar, flag value or selection can cause derives from `DataError`,
-and the command line reports it as ``error: <message>`` with exit 1."""
+corpus, sidecar, flag value or selection can cause is a `DataError` that
+carries its message, and the command line reports it as
+``error: <message>`` with exit 1."""
 
 
 class DataError(ValueError):

@@ -20,9 +20,7 @@ import numpy as np
 
 from . import __version__
 from .errors import DataError
-from .indicators import (
-    DEFAULT_K, DEFAULT_OFFSET, DEFAULT_SCALE, PercentileCutoffError, analytic_ptop, rk_rows,
-)
+from .indicators import DEFAULT_K, DEFAULT_OFFSET, DEFAULT_SCALE, analytic_ptop, rk_rows
 from .rankcore import ORDINAL, RankQuery, build_world, geometric_means
 from .synthdist import Ensemble, EnsembleConfig, generate_ensemble
 from .table import write_table
@@ -30,10 +28,8 @@ from .table import write_table
 FIG2_PERCENTILES = (10.0, 3.0, 1.0, 0.5, 0.1)
 EQUIV_RANGE_01 = (0.5, 39.5)
 EQUIV_RANGE_001 = (1.0, 39.5)
-
-
-class SelectionError(DataError):
-    """The ensemble grid does not support the requested selection."""
+# the fig1/fig2 selection: this many mu values, three series each
+MU_PICKS = 33
 
 
 def canonical_json(obj) -> str:
@@ -136,7 +132,7 @@ def _units(ensemble: Ensemble, labels, k: int, tie_policy: str):
     The query refuses the first label that names no unit or a unit of
     fewer than k papers, before a study does any per-unit work, so a
     refused selection is reported ahead of a world-level error such as a
-    `PercentileCutoffError`.
+    top-x% cutoff that holds no entries.
     """
     world = build_world(list(ensemble.series), tie_policy=tie_policy)
     ranks = top_rank1s(world, labels, k)
@@ -156,7 +152,7 @@ def _base_parameters(config: EnsembleConfig, tie_policy: str, **extra) -> dict:
 def sample_positions(total: int, sample_size: int) -> list[int]:
     """Evenly spaced positions over 0..total-1, endpoints included."""
     if sample_size > total:
-        raise SelectionError(f"cannot sample {sample_size} of {total} series")
+        raise DataError(f"cannot sample {sample_size} of {total} series")
     if sample_size == 1:
         return [0]
     step = (total - 1) / (sample_size - 1)
@@ -198,21 +194,21 @@ def run_table_s1(
     return ExperimentReport(experiment_id="tables1", parameters=params, rows=rows)
 
 
-def select_99(ensemble: Ensemble, mu_picks: int = 33) -> list[str]:
-    """Labels of 33 same-mu triples evenly spaced over the mu grid.
+def select_99(ensemble: Ensemble) -> list[str]:
+    """Labels of `MU_PICKS` same-mu triples evenly spaced over the mu grid.
 
     Requires a grid with exactly three sizes per mu value.
     """
     config = ensemble.config
     if len(config.sizes) != 3:
-        raise SelectionError(
+        raise DataError(
             f"triple selection needs three sizes per mu, grid has {len(config.sizes)}"
         )
-    if config.mu_count < mu_picks:
-        raise SelectionError(f"grid has {config.mu_count} mu values, {mu_picks} required")
-    idx = np.round(np.linspace(0, config.mu_count - 1, mu_picks)).astype(int)
-    if len(set(idx.tolist())) != mu_picks:
-        raise SelectionError("mu grid too coarse for an even selection")
+    if config.mu_count < MU_PICKS:
+        raise DataError(f"grid has {config.mu_count} mu values, {MU_PICKS} required")
+    idx = np.round(np.linspace(0, config.mu_count - 1, MU_PICKS)).astype(int)
+    if len(set(idx.tolist())) != MU_PICKS:
+        raise DataError("mu grid too coarse for an even selection")
     labels = []
     for i in idx:
         for j in range(3):
@@ -294,7 +290,7 @@ def run_fig2(
 def run_ptop(
     ensemble: Ensemble,
     xs,
-    labels: str | None = None,
+    labels: list[str] | None = None,
     k: int = DEFAULT_K,
     offset: float = DEFAULT_OFFSET,
     scale: float = DEFAULT_SCALE,
@@ -302,10 +298,11 @@ def run_ptop(
 ) -> ExperimentReport:
     """Expected top-x% counts and the rank index of chosen series.
 
-    `labels` is a comma-separated label list, recorded in the parameters
-    as given; when empty or None the 99 triple-selected series are used.
+    `labels` is a list of series labels, recorded in the parameters
+    comma-joined; when empty or None the 99 triple-selected series are
+    used, recorded as None.
     """
-    chosen = labels.split(",") if labels else select_99(ensemble)
+    chosen = labels or select_99(ensemble)
     world, specs, ranks = _units(ensemble, chosen, k, tie_policy)
     rows = []
     for spec in specs:
@@ -316,7 +313,8 @@ def run_ptop(
     for row, rk in zip(rows, rk_rows(ranks, offset=offset, scale=scale).tolist()):
         row["rk"] = rk
     params = _base_parameters(
-        ensemble.config, tie_policy, x=list(xs), labels=labels, k=k, offset=offset, scale=scale
+        ensemble.config, tie_policy, x=list(xs), labels=",".join(labels) if labels else None,
+        k=k, offset=offset, scale=scale,
     )
     return ExperimentReport("ptop", params, rows)
 
@@ -340,7 +338,7 @@ def run_fig3(
     config = ensemble.config
     for n in size_pair:
         if n not in config.sizes:
-            raise SelectionError(f"grid sizes {config.sizes} do not include {n}")
+            raise DataError(f"grid sizes {config.sizes} do not include {n}")
     width = len(config.sizes)
     labels = [ensemble.specs[nearest_mu_index(config, mu) * width + config.sizes.index(n)].label
               for mu in mu_targets for n in size_pair]
@@ -392,7 +390,7 @@ def run_fig4(
         p001 = analytic_ptop(spec, world, 0.01).value
         for x, expected in ((0.1, p01), (0.01, p001)):
             if expected == 0:  # the tail probability underflowed
-                raise PercentileCutoffError(
+                raise DataError(
                     f"series {spec.label}: its expected top {x}% count underflows to 0 at "
                     f"mu = {spec.mu}, so rk_over_ptop_{x} has no value"
                 )

@@ -27,14 +27,6 @@ EMPIRICAL = "empirical"
 ANALYTIC = "analytic"
 
 
-class PercentileCutoffError(DataError):
-    """The requested top-x% slice of this world is empty."""
-
-
-class OriginError(DataError):
-    """Operation undefined for this series origin."""
-
-
 @dataclass(frozen=True)
 class RkResult:
     """Rk-index of one unit plus the inputs it was computed from."""
@@ -114,11 +106,17 @@ def percentile_cutoff(x: float, world_size: int) -> int:
     return int(math.floor(t * (1.0 + 4.0 * sys.float_info.epsilon)))
 
 
+def top_count(ranks: np.ndarray, x: float, world_size: int) -> int:
+    """Papers among ascending world `ranks` that hold a top-x% world rank,
+    one <= floor(x/100 * W)."""
+    return int(np.searchsorted(ranks, percentile_cutoff(x, world_size), side="right"))
+
+
 def empirical_ptop(world: RankQuery, label: str, x: float) -> PercentileResult:
     """Count a unit's papers holding world rank <= floor(x/100 * W)."""
     cutoff = percentile_cutoff(x, world.size)
     n = world.unit_values(label).size
-    count = int(np.count_nonzero(world.top_rank1s(label, n) <= cutoff)) if cutoff and n else 0
+    count = top_count(world.top_rank1s(label, n), x, world.size) if cutoff and n else 0
     threshold = world.value_at_rank(cutoff) if cutoff else math.inf
     return PercentileResult(
         label=label, x=x, mode=EMPIRICAL, value=count, threshold=threshold, cutoff_rank=cutoff
@@ -144,9 +142,7 @@ def analytic_ptop(spec: LognormalSpec, world: RankQuery, x: float) -> Percentile
     """
     cutoff = percentile_cutoff(x, world.size)
     if cutoff < 1:
-        raise PercentileCutoffError(
-            f"top {x}% of a world of {world.size} papers holds no entries"
-        )
+        raise DataError(f"top {x}% of a world of {world.size} papers holds no entries")
     threshold = world.value_at_rank(cutoff)
     value = spec.n * lognormal_survival(spec.mu, spec.sigma, threshold)
     return PercentileResult(
@@ -157,5 +153,5 @@ def analytic_ptop(spec: LognormalSpec, world: RankQuery, x: float) -> Percentile
 def count_uncited(series: CitationSeries) -> int:
     """Number of zero-citation papers (defined for real integer counts only)."""
     if series.origin != REAL:
-        raise OriginError("uncited counting is undefined for synthetic series")
+        raise DataError("uncited counting is undefined for synthetic series")
     return int(np.count_nonzero(series.values == 0))

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError, not_utf8, read_text
-from .indicators import DEFAULT_K, DEFAULT_OFFSET, DEFAULT_SCALE, RkResult, percentile_cutoff, rk_rows
+from .indicators import DEFAULT_K, DEFAULT_OFFSET, DEFAULT_SCALE, RkResult, rk_rows, top_count
 # The corpus ranks without `build_world` and scores its units without
 # `rk_from_rank1s`; both stay importable here because perfbench/spans.py
 # wraps `ingest.build_world` and `ingest.rk_from_rank1s` by name and fails
@@ -38,19 +38,6 @@ WINDOW_DISPLACEMENT_YEARS = 5
 
 RK_OK = "ok"
 RK_INSUFFICIENT = "insufficient_papers"
-
-
-class CorpusFormatError(DataError):
-    """The corpus file cannot be parsed at all (bad header, not CSV)."""
-
-
-class UnknownCountryError(DataError):
-    def __init__(self, country: str):
-        super().__init__(f"country {country!r} does not appear in the corpus")
-
-
-class EmptyCorpusError(DataError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -77,14 +64,14 @@ class CorpusMeta:
     def from_json(cls, path) -> "CorpusMeta":
         """Read a sidecar; a window is a JSON list of two integer years,
         first <= last, `field` and `source` are strings, and anything else
-        is a `CorpusFormatError`."""
+        is a `DataError`."""
         text = read_text(path)
         try:
             data = json.loads(text)
         except (ValueError, RecursionError) as exc:  # JSONDecodeError, or too many digits or levels
-            raise CorpusFormatError(f"{path}: invalid JSON: {exc}") from None
+            raise DataError(f"{path}: invalid JSON: {exc}") from None
         if not isinstance(data, dict):
-            raise CorpusFormatError(f"{path}: metadata must be a JSON object, got {type(data).__name__}")
+            raise DataError(f"{path}: metadata must be a JSON object, got {type(data).__name__}")
 
         def window(key):
             value = data.get(key)
@@ -94,7 +81,7 @@ class CorpusMeta:
                 isinstance(value, list) and len(value) == 2
                 and all(type(year) is int for year in value) and value[0] <= value[1]
             ):
-                raise CorpusFormatError(
+                raise DataError(
                     f"{path}: {key} must be [first, last] integer years with first <= last, "
                     f"got {json.dumps(value)}"
                 )
@@ -103,7 +90,7 @@ class CorpusMeta:
         def string(key):
             value = data.get(key, "")
             if not isinstance(value, str):
-                raise CorpusFormatError(f"{path}: {key} must be a string, got {json.dumps(value)}")
+                raise DataError(f"{path}: {key} must be a string, got {json.dumps(value)}")
             return value
 
         meta = cls(
@@ -148,7 +135,7 @@ class Corpus:
             raise ValueError(f"tie_policy must be one of {TIE_POLICIES}")
         n = len(self)
         if not n:
-            raise EmptyCorpusError("corpus holds no records")
+            raise DataError("corpus holds no records")
         ranks = np.empty(n, dtype=np.int64)
         if tie_policy == ORDINAL:
             id_order = np.empty(n, dtype=np.int64)
@@ -173,7 +160,7 @@ class Corpus:
         try:
             return self.countries.index(country)
         except ValueError:
-            raise UnknownCountryError(country) from None
+            raise DataError(f"country {country!r} does not appear in the corpus") from None
 
 
 @dataclass
@@ -233,23 +220,21 @@ def load_corpus(path, meta: CorpusMeta | None = None) -> CorpusLoadResult:
             reader = csv.reader(handle)
             return _read_corpus(reader, path, meta)
     except UnicodeDecodeError as exc:
-        raise CorpusFormatError(not_utf8(path, exc)) from None
+        raise DataError(not_utf8(path, exc)) from None
     except csv.Error as exc:
-        raise CorpusFormatError(f"{path}: line {reader.line_num}: {exc}") from None
+        raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
 
 
 def _read_corpus(reader, path, meta: CorpusMeta | None) -> CorpusLoadResult:
     try:
         header = next(reader)
     except StopIteration:
-        raise CorpusFormatError(f"{path}: empty file") from None
+        raise DataError(f"{path}: empty file") from None
     header = [h.strip().lower() for h in header]
     if tuple(header[:4]) != CORPUS_COLUMNS or len(header) > 5 or (
         len(header) == 5 and header[4] != "field"
     ):
-        raise CorpusFormatError(
-            f"{path}: header must be id,year,citations,countries[,field], got {header}"
-        )
+        raise DataError(f"{path}: header must be id,year,citations,countries[,field], got {header}")
     columns = len(header)
     window = meta.pub_window if meta is not None else None
     ids, citations, indptr, indices = [], [], [0], []
@@ -367,8 +352,7 @@ def assess(
             units.append((country, kind, keys[lo:hi] - unit * stride))
     # the Rk of every unit of at least k papers, in one row-wise pass
     tops = [ranks[:k] for _, _, ranks in units if ranks.size >= k]
-    rks = iter(rk_rows(np.array(tops, dtype=np.int64).reshape(len(tops), k),
-                       offset=offset, scale=scale).tolist())
+    rks = iter(rk_rows(np.array(tops), offset=offset, scale=scale).tolist() if tops else ())
     rows = []
     for country, kind, ranks in units:
         p = ranks.size
@@ -396,11 +380,6 @@ def assess(
             )
         )
     return rows
-
-
-def top_count(ranks: np.ndarray, x: float, world_size: int) -> int:
-    """Papers among ascending world `ranks` that hold a top-x% world rank."""
-    return int(np.searchsorted(ranks, percentile_cutoff(x, world_size), side="right"))
 
 
 def assessment_table(rows: list[AssessmentRow]) -> list[dict]:

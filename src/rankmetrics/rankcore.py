@@ -23,19 +23,6 @@ COMPETITION = "competition"
 TIE_POLICIES = (ORDINAL, COMPETITION)
 
 
-class DuplicateLabelError(DataError):
-    pass
-
-
-class UnknownLabelError(DataError):
-    def __init__(self, label: str):
-        super().__init__(f"unknown series label {label!r}")
-
-
-class InsufficientPapersError(DataError):
-    """A unit holds fewer papers than the requested top-k."""
-
-
 @dataclass(frozen=True)
 class RankPair:
     """Global and local rank of one paper.  rank1 >= rank2 always: a paper
@@ -102,7 +89,7 @@ class RankQuery:
             seen, dups = set(), set()
             for s in series:
                 (dups if s.label in seen else seen).add(s.label)
-            raise DuplicateLabelError(f"duplicate series labels: {sorted(dups)}")
+            raise DataError(f"duplicate series labels: {sorted(dups)}")
         if not any(s.n for s in series):
             raise ValueError("cannot build a world from all-empty series")
         self.tie_policy = tie_policy
@@ -125,7 +112,7 @@ class RankQuery:
         try:
             return self._series[label].values
         except KeyError:
-            raise UnknownLabelError(label) from None
+            raise DataError(f"unknown series label {label!r}") from None
 
     def top_rank1s(self, label: str, k: int) -> np.ndarray:
         """Global ranks of the unit's k locally best papers, local order:
@@ -142,7 +129,7 @@ class RankQuery:
         for label in labels:
             unit = self.unit_values(label)
             if unit.size < k:
-                raise InsufficientPapersError(f"unit {label} has {unit.size} papers, {k} required")
+                raise DataError(f"unit {label} has {unit.size} papers, {k} required")
             units.append(unit)
         # Each unit's k largest values, descending.  A unit's equal values
         # hold consecutive world ranks, whichever member comes first.
@@ -186,7 +173,7 @@ def _unit_values(world: RankQuery, label: str) -> np.ndarray:
     """The unit's values; a unit without papers is as unknown as a missing one."""
     values = world.unit_values(label)
     if values.size == 0:
-        raise UnknownLabelError(label)
+        raise DataError(f"unknown series label {label!r}")
     return values
 
 
@@ -215,7 +202,7 @@ def top_k(pairs: list[RankPair], k: int = 10, label: str | None = None) -> TopKR
     """The k pairs with the smallest local ranks; refuses short units."""
     _check_k(k)
     if len(pairs) < k:
-        raise InsufficientPapersError(f"unit has {len(pairs)} papers, {k} required")
+        raise DataError(f"unit has {len(pairs)} papers, {k} required")
     chosen = sorted(pairs, key=lambda p: (p.rank2, p.rank1))[:k]
     return TopKRanks(label=label, k=k, pairs=tuple(chosen))
 

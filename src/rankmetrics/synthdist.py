@@ -29,14 +29,6 @@ _CONFIG_KEYS = ("mu_start", "mu_end", "mu_count", "sizes", "seed")
 DEFAULT_SIGMA = 1.1
 
 
-class GridError(DataError):
-    """Inconsistent ensemble grid parameters."""
-
-
-class ConfigError(DataError):
-    """Malformed ensemble configuration file."""
-
-
 def series_label(index: int) -> str:
     """Label for grid position `index`: aa..zz, then aaa..zzz, and so on."""
     if index < 0:
@@ -130,29 +122,27 @@ class EnsembleConfig:
         object.__setattr__(self, "sizes", tuple(int(s) for s in self.sizes))
         for name in ("mu_start", "mu_end"):
             if not math.isfinite(getattr(self, name)):
-                raise GridError(f"{name} must be finite, got {getattr(self, name)}")
+                raise DataError(f"{name} must be finite, got {getattr(self, name)}")
         if not math.isfinite(self.mu_end - self.mu_start):
-            raise GridError(
+            raise DataError(
                 f"mu range {self.mu_start} to {self.mu_end} is too wide: its span overflows a float"
             )
         if self.mu_count < 1:
-            raise GridError(f"mu_count must be >= 1, got {self.mu_count}")
+            raise DataError(f"mu_count must be >= 1, got {self.mu_count}")
         if not self.sizes:
-            raise GridError("sizes must be non-empty")
+            raise DataError("sizes must be non-empty")
         if any(s < 1 for s in self.sizes):
-            raise GridError(f"every size must be >= 1, got {self.sizes}")
+            raise DataError(f"every size must be >= 1, got {self.sizes}")
         if not (isinstance(self.seed, int) and 0 <= self.seed < 2**64):
-            raise GridError("seed must be an unsigned 64-bit integer")
+            raise DataError("seed must be an unsigned 64-bit integer")
+        if self.mu_count == 1 and self.mu_start != self.mu_end:
+            raise DataError("mu_count=1 requires mu_start == mu_end")
 
     @property
     def total_papers(self) -> int:
         return self.mu_count * sum(self.sizes)
 
     def mu_values(self) -> np.ndarray:
-        if self.mu_count == 1:
-            if self.mu_start != self.mu_end:
-                raise GridError("mu_count=1 requires mu_start == mu_end")
-            return np.array([self.mu_start], dtype=np.float64)
         return np.linspace(self.mu_start, self.mu_end, self.mu_count)
 
     def to_dict(self) -> dict:
@@ -177,16 +167,16 @@ def load_config(path) -> EnsembleConfig:
         if not line:
             continue
         if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
+            raise DataError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in _CONFIG_KEYS:
-            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+            raise DataError(f"{path}:{lineno}: unknown key {key!r}")
         if key in raw:
-            raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
+            raise DataError(f"{path}:{lineno}: duplicate key {key!r}")
         raw[key] = value
     missing = [k for k in _CONFIG_KEYS if k not in raw]
     if missing:
-        raise ConfigError(f"{path}: missing keys {missing}")
+        raise DataError(f"{path}: missing keys {missing}")
     try:
         return EnsembleConfig(
             mu_start=float(raw["mu_start"]),
@@ -196,7 +186,7 @@ def load_config(path) -> EnsembleConfig:
             seed=int(raw["seed"]),
         )
     except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+        raise DataError(f"{path}: {exc}") from exc
 
 
 def build_grid(config: EnsembleConfig) -> list[LognormalSpec]:
@@ -223,7 +213,7 @@ def _paper_buffer(config: EnsembleConfig) -> np.ndarray:
     try:
         return np.empty(config.total_papers)
     except (MemoryError, ValueError):  # ValueError: the byte count overflows
-        raise GridError(
+        raise DataError(
             f"a grid of {config.total_papers} papers is too large to allocate"
         ) from None
 
@@ -349,7 +339,7 @@ def sample_series(spec: LognormalSpec, seed: int, stream_id: int) -> CitationSer
     try:
         return CitationSeries(spec.label, values, origin=SYNTHETIC)
     except ValueError as exc:
-        raise GridError(
+        raise DataError(
             f"series {spec.label}: mu = {spec.mu} puts values outside float range ({exc})"
         ) from None
 
@@ -401,7 +391,7 @@ def generate_ensemble(config: EnsembleConfig) -> Ensemble:
     if not _positive_finite(values):
         for i, (spec, span) in enumerate(zip(specs, spans)):
             if not _positive_finite(values[span]):
-                sample_series(spec, config.seed, i)  # raises this series' GridError
+                sample_series(spec, config.seed, i)  # raises this series' DataError
     values.flags.writeable = False  # and so is every view taken from here on
     series = tuple(
         CitationSeries._checked(spec.label, values[span]) for spec, span in zip(specs, spans)

@@ -1,9 +1,11 @@
 import argparse
 import contextlib
+import importlib
 import io
 import json
 import math
 import os
+import pkgutil
 import re
 import shutil
 import subprocess
@@ -21,6 +23,7 @@ from hypothesis import strategies as st
 import rankmetrics
 from rankmetrics import cli, experiments, synthdist
 from rankmetrics.cli import build_parser, main
+from rankmetrics.errors import DataError
 from rankmetrics.ingest import corpus_world_ranks, load_corpus
 
 SMALL_CFG = (
@@ -690,7 +693,80 @@ def test_missing_input_is_data_error(tmp_path, capsys):
 def test_unknown_country_is_data_error(corpus_csv, capsys, argv):
     code = main([argv[0], "--input", corpus_csv, *argv[1:]])
     assert code == 1
-    assert "error: country 'ZZZ' does not appear in the corpus" in capsys.readouterr().err
+    assert capsys.readouterr() == ("", "error: country 'ZZZ' does not appear in the corpus\n")
+
+
+UNIT = ["--country", "USA", "--split", "domestic"]
+
+
+@pytest.mark.parametrize("k", [str(2**60), str(10**20)])
+@pytest.mark.parametrize(
+    "argv",
+    [["assess", "--countries", "USA,CHN"], ["rk", *UNIT], ["ptop", *UNIT, "--x", "10"]],
+    ids=["assess", "rk", "ptop"],
+)
+def test_a_k_beyond_every_unit_reads_insufficient_papers(corpus_csv, capsys, argv, k):
+    # no unit holds k papers, so none is scored: the output is the one a k
+    # just past the 75-paper corpus gives
+    argv = [argv[0], "--input", corpus_csv, *argv[1:]]
+    assert main([*argv, "--k", "76"]) == 0
+    expected = capsys.readouterr()
+    assert main([*argv, "--k", k]) == 0
+    assert capsys.readouterr() == expected
+    if argv[0] != "ptop":
+        rows = expected.out.splitlines()[1:]
+        assert rows and all(row.endswith(",,insufficient_papers") for row in rows)
+
+
+def test_data_error_is_the_one_input_error_type():
+    for module in pkgutil.iter_modules(rankmetrics.__path__):
+        if module.name != "__main__":  # which runs the command line
+            importlib.import_module(f"rankmetrics.{module.name}")
+    assert DataError.__subclasses__() == []
+
+
+# Exact refusals the tests above pin only in part: a corpus that cannot be
+# read, a config line, a config grid, an unknown label in a ranked
+# selection, and each kind of study selection a grid cannot support.
+REFUSAL_FILES = {
+    "grid.cfg": SMALL_CFG,
+    "pair.cfg": "mu_start = 4.0\nmu_end = 2.0\nmu_count = 33\nsizes = 400,100\nseed = 3\n",
+    "keyless.cfg": "mu_start 4.0\n",
+    "one.cfg": "mu_start = 4.0\nmu_end = 2.0\nmu_count = 1\nsizes = 10\nseed = 1\n",
+    "header.csv": "id;year;citations;countries\n",
+    "empty.csv": "",
+}
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["assess", "--input", "header.csv", "--countries", "USA"],
+         "{file}: header must be id,year,citations,countries[,field], "
+         "got ['id;year;citations;countries']"),
+        (["assess", "--input", "empty.csv", "--countries", "USA"], "{file}: empty file"),
+        (["gen", "--config", "keyless.cfg"], "{file}:1: expected 'key = value', got 'mu_start 4.0'"),
+        # checked when the config is built, so the file is named
+        (["gen", "--config", "one.cfg"], "{file}: mu_count=1 requires mu_start == mu_end"),
+        (["ptop", "--config", "grid.cfg", "--labels", "aa,zz"], "unknown series label 'zz'"),
+        (["tables1", "--config", "grid.cfg", "--sample-size", "100"],
+         "cannot sample 100 of 99 series"),
+        (["fig1", "--config", "pair.cfg"], "triple selection needs three sizes per mu, grid has 2"),
+        (["fig3", "--config", "pair.cfg"], "grid sizes (400, 100) do not include 800"),
+    ],
+    ids=lambda value: " ".join(value[:3]) if isinstance(value, list) else None,
+)
+def test_a_refusal_prints_its_exact_error_line(tmp_path, capsys, argv, message):
+    for name, text in REFUSAL_FILES.items():
+        (tmp_path / name).write_text(text)
+    (file,) = (str(tmp_path / token) for token in argv if token in REFUSAL_FILES)
+    out = tmp_path / "out"
+    argv = [str(tmp_path / token) if token in REFUSAL_FILES else token for token in argv]
+    assert main([*argv, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: " + message.replace("{file}", file) + "\n"
+    assert captured.out == ""
+    assert not out.exists()
 
 
 def test_unwritable_out_is_data_error(tmp_path, small_cfg, capsys):
@@ -744,7 +820,7 @@ FILE_FLAGS = {
 }
 FLAG_VALUES = {
     "seed": ["0", "7", "-1", str(2**64), "x"],
-    "k": ["1", "3", "10", "0", "-2", "100000", "x"],
+    "k": ["1", "3", "10", "0", "-2", "100000", str(2**62), "x"],
     "top": ["1", "3", "0", "-1", str(10**30)],
     "sample_size": ["1", "15", "0", "-1", "100000", "x"],
     "offset": ["0", "20", "1e308", "-1", "nan", "inf", "x"],

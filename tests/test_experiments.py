@@ -10,9 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rankmetrics.errors import DataError
 from rankmetrics.experiments import (
     ExperimentReport,
-    SelectionError,
     atomic_write_text,
     canonical_json,
     config_hash,
@@ -58,7 +58,7 @@ def test_sample_positions_even():
     assert sample_positions(600, 15)[-1] == 599
     assert len(set(sample_positions(600, 15))) == 15
     assert sample_positions(1, 1) == [0]
-    with pytest.raises(SelectionError):
+    with pytest.raises(DataError, match=r"^cannot sample 11 of 10 series$"):
         sample_positions(10, 11)
 
 
@@ -83,7 +83,7 @@ def test_table_s1_single_series():
 
 
 def test_table_s1_rejects_oversample(small_ensemble):
-    with pytest.raises(SelectionError):
+    with pytest.raises(DataError, match=r"^cannot sample 100 of 99 series$"):
         run_table_s1(small_ensemble, sample_size=100)
 
 
@@ -120,7 +120,7 @@ def test_select_99_complete_small_grid(small_ensemble):
 
 def test_select_99_needs_triples():
     ensemble = generate_ensemble(EnsembleConfig(4.0, 2.0, 40, (800,), seed=1))
-    with pytest.raises(SelectionError):
+    with pytest.raises(DataError, match=r"^triple selection needs three sizes per mu, grid has 1$"):
         select_99(ensemble)
 
 
@@ -154,13 +154,16 @@ def test_fig1_deterministic():
 @pytest.mark.parametrize("tie_policy", ["ordinal", "competition"])
 def test_ptop_matches_fig1(small_ensemble, tie_policy):
     fig1 = run_fig1(small_ensemble, tie_policy=tie_policy)
-    labels = ",".join(select_99(small_ensemble))
+    labels = select_99(small_ensemble)
     report = run_ptop(small_ensemble, (10, 0.1), labels=labels, tie_policy=tie_policy)
+    assert report.parameters["labels"] == ",".join(labels)
     assert report.columns == ("label", "mu", "n", "ptop_10", "ptop_0.1", "rk")
     assert [(r["label"], r["rk"], r["ptop_10"], r["ptop_0.1"]) for r in report.rows] == [
         (r["label"], r["rk"], r["ptop_10_analytic"], r["ptop_0.1_analytic"]) for r in fig1.rows
     ]
-    assert run_ptop(small_ensemble, (10, 0.1), tie_policy=tie_policy).rows == report.rows
+    selected = run_ptop(small_ensemble, (10, 0.1), tie_policy=tie_policy)
+    assert selected.rows == report.rows
+    assert selected.parameters["labels"] is None
 
 
 def test_fig2_partition(world600):
@@ -237,7 +240,7 @@ def test_fig3_traces(world600):
 
 
 def test_fig3_needs_sizes(small_ensemble):
-    with pytest.raises(SelectionError):
+    with pytest.raises(DataError, match=r"^grid sizes \(800, 400, 200\) do not include 100$"):
         run_fig3(small_ensemble, size_pair=(800, 100))
 
 

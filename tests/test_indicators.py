@@ -5,12 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rankmetrics.errors import DataError
 from rankmetrics.experiments import select_99
 from rankmetrics.indicators import (
     ANALYTIC,
     EMPIRICAL,
-    OriginError,
-    PercentileCutoffError,
     RkResult,
     analytic_ptop,
     count_uncited,
@@ -202,7 +201,7 @@ def test_analytic_degenerate_world_jumps():
 
 def test_analytic_rejects_empty_slice():
     world = build_world([CitationSeries("a", [3, 2, 1], origin=REAL)])
-    with pytest.raises(PercentileCutoffError):
+    with pytest.raises(DataError, match=r"^top 1\.0% of a world of 3 papers holds no entries$"):
         analytic_ptop(LognormalSpec("s", 1.0, 1.0, 10), world, 1.0)
 
 
@@ -232,7 +231,7 @@ def test_count_uncited():
 
 
 def test_count_uncited_rejects_synthetic():
-    with pytest.raises(OriginError):
+    with pytest.raises(DataError, match=r"^uncited counting is undefined for synthetic series$"):
         count_uncited(CitationSeries("u", [1.0, 2.0], origin="synthetic"))
 
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rankmetrics.cli import main
+from rankmetrics.errors import DataError
 from rankmetrics.indicators import RkResult, count_uncited, empirical_ptop, percentile_cutoff, rk_from_rank1s
 from rankmetrics.ingest import (
     COLLABORATIVE,
@@ -14,11 +15,8 @@ from rankmetrics.ingest import (
     RK_INSUFFICIENT,
     RK_OK,
     AssessmentRow,
-    CorpusFormatError,
     CorpusMeta,
     CountrySplit,
-    EmptyCorpusError,
-    UnknownCountryError,
     assess,
     assessment_table,
     corpus_world_ranks,
@@ -101,11 +99,14 @@ def test_country_deduplication(tmp_path):
 
 def test_corrupt_header_fatal(tmp_path):
     path = write_corpus(tmp_path, "p1,2015,4,USA\n", header="paper,when,cites,where\n")
-    with pytest.raises(CorpusFormatError):
+    with pytest.raises(
+        DataError, match=r"corpus\.csv: header must be id,year,citations,countries\[,field\], "
+        r"got \['paper', 'when', 'cites', 'where'\]$",
+    ):
         load_corpus(path)
     empty = tmp_path / "empty.csv"
     empty.write_text("")
-    with pytest.raises(CorpusFormatError):
+    with pytest.raises(DataError, match=r"empty\.csv: empty file$"):
         load_corpus(empty)
 
 
@@ -160,14 +161,14 @@ def test_split_examples(tmp_path):
     chn = split_country(corpus, "CHN")
     assert chn.domestic == ("p3",)
     assert chn.collaborative == ("p2",)
-    with pytest.raises(UnknownCountryError):
+    with pytest.raises(DataError, match=r"^country 'FRA' does not appear in the corpus$"):
         split_country(corpus, "FRA")
 
 
 def test_world_ranks_tie_break_by_id(tmp_path):
     corpus = load_rows(tmp_path, [("b", 5, ["USA"]), ("a", 5, ["CHN"]), ("c", 7, ["JPN"])])
     assert corpus_world_ranks(corpus) == {"c": 1, "a": 2, "b": 3}
-    with pytest.raises(EmptyCorpusError):
+    with pytest.raises(DataError, match=r"^corpus holds no records$"):
         corpus_world_ranks(load_rows(tmp_path, []))
 
 
@@ -266,7 +267,7 @@ def test_byte_order_mark_header_accepted(tmp_path):
 def test_invalid_utf8_is_format_error(tmp_path):
     path = tmp_path / "latin1.csv"
     path.write_bytes((HEADER + "p1,2015,12,USA\n").encode() + b"p\xe9,2015,3,FRA\n")
-    with pytest.raises(CorpusFormatError, match=r"latin1\.csv: line 3 is not valid UTF-8"):
+    with pytest.raises(DataError, match=r"latin1\.csv: line 3 is not valid UTF-8"):
         load_corpus(path)
 
 
@@ -281,7 +282,7 @@ def test_row_lines_count_physical_lines_after_a_multiline_field(tmp_path):
 
 def test_unparseable_csv_is_format_error(tmp_path):
     path = write_corpus(tmp_path, f"p1,2015,3,USA\n\"{'x' * 200_000}\",2015,3,USA\n")
-    with pytest.raises(CorpusFormatError, match=r"corpus\.csv: line 3: field larger than field limit"):
+    with pytest.raises(DataError, match=r"corpus\.csv: line 3: field larger than field limit"):
         load_corpus(path)
 
 
@@ -412,7 +413,7 @@ def test_loader_and_assess_match_per_row_oracle(tmp_path_factory, rows, window, 
     assert paper_countries(corpus) == [r.countries for r in records]
     assert [(e.line, e.message) for e in loaded.errors] == errors
     if not records:
-        with pytest.raises(EmptyCorpusError):
+        with pytest.raises(DataError, match=r"^corpus holds no records$"):
             assess(loaded.records, ["USA"])
         return
     countries = sorted({c for r in records for c in r.countries})
@@ -429,7 +430,7 @@ def test_loader_and_assess_match_per_row_oracle(tmp_path_factory, rows, window, 
         expected = oracle_assess(records, countries, k, offset, scale, tie_policy)
         assert got == [row for row, _ in expected]
         assert [row.ranks.tolist() for row in got] == [ranks for _, ranks in expected]
-    with pytest.raises(UnknownCountryError):
+    with pytest.raises(DataError, match=r"^country 'ZZZ' does not appear in the corpus$"):
         assess(loaded.records, ["ZZZ"])
 
 
@@ -442,7 +443,7 @@ def test_country_named_only_by_a_rejected_duplicate_is_unknown(tmp_path):
     corpus = load_corpus(path).records
     assert corpus.countries == ("USA", "CHN")
     assert paper_countries(corpus) == [("USA",), ("CHN",)]
-    with pytest.raises(UnknownCountryError, match="'FRA'"):
+    with pytest.raises(DataError, match=r"^country 'FRA' does not appear in the corpus$"):
         assess(corpus, ["FRA"])
 
 

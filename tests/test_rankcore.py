@@ -1,22 +1,21 @@
 import io
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rankmetrics.errors import DataError
 from rankmetrics.indicators import empirical_ptop, percentile_cutoff
 from rankmetrics.rankcore import (
     COMPETITION,
     ORDINAL,
     RANK_TABLE_COLUMNS,
-    DuplicateLabelError,
-    InsufficientPapersError,
     RankPair,
     RankQuery,
     TopKRanks,
-    UnknownLabelError,
     build_world,
     dual_ranks,
     geometric_mean,
@@ -68,7 +67,7 @@ def test_competition_tie_policy():
 
 
 def test_duplicate_labels_rejected():
-    with pytest.raises(DuplicateLabelError):
+    with pytest.raises(DataError, match=r"^duplicate series labels: \['a'\]$"):
         build_world([series("a", [1]), series("a", [2])])
 
 
@@ -79,7 +78,7 @@ def test_all_empty_rejected():
 
 def test_unknown_label():
     world = build_world([series("a", [1])])
-    with pytest.raises(UnknownLabelError):
+    with pytest.raises(DataError, match=r"^unknown series label 'zz'$"):
         dual_ranks(world, "zz")
 
 
@@ -124,7 +123,7 @@ def test_top_k_basic():
 
 def test_top_k_insufficient():
     world = build_world([series("a", list(range(9, 0, -1)))])
-    with pytest.raises(InsufficientPapersError):
+    with pytest.raises(DataError, match=r"^unit has 9 papers, 10 required$"):
         top_k(dual_ranks(world, "a"), 10)
 
 
@@ -226,7 +225,8 @@ def test_rank_table_export():
     out = io.StringIO()
     assert write_table(out, RANK_TABLE_COLUMNS, rank_table_chunks(world)) == 3
     assert out.getvalue().splitlines() == ["label,rank2,rank1,value", "a,1,1,5.0", "a,2,3,3.0", "b,1,2,4.0"]
-    with pytest.raises(UnknownLabelError):  # before the first chunk is asked for
+    # before the first chunk is asked for
+    with pytest.raises(DataError, match=r"^unknown series label 'zz'$"):
         rank_table_chunks(world, labels=["a", "zz"])
 
 
@@ -289,12 +289,13 @@ def test_rank_query_matches_world_index(parts, tie_policy):
         want = expected[part.label]
         for k in range(1, part.n + 1):
             assert world.top_rank1s(part.label, k).tolist() == [r1 for r1, _, _ in want[:k]]
-        with pytest.raises(InsufficientPapersError):
+        short = f"unit {part.label} has {part.n} papers, {part.n + 1} required"
+        with pytest.raises(DataError, match=f"^{short}$"):
             world.top_rank1s(part.label, part.n + 1)
         if part.n:
             assert triples(world, part.label) == want
         else:
-            with pytest.raises(UnknownLabelError):
+            with pytest.raises(DataError, match=f"^unknown series label '{part.label}'$"):
                 dual_ranks(world, part.label)
     filled = sorted(p.label for p in parts if p.n)
     for top in (None, 1, 3):
@@ -318,19 +319,22 @@ def test_rank_query_matches_world_index(parts, tie_policy):
 
 
 def test_rank_query_rejects_what_build_world_rejects():
+    # a DataError is the user's input; a plain ValueError is a caller's misuse
     cases = [
-        (DuplicateLabelError, [series("a", [1]), series("a", [2])], ORDINAL),
-        (ValueError, [series("a", [])], ORDINAL),
-        (ValueError, [series("a", [1])], "dense"),
+        (DataError, r"^duplicate series labels: \['a'\]$",
+         [series("a", [1]), series("a", [2])], ORDINAL),
+        (ValueError, r"^cannot build a world from all-empty series$", [series("a", [])], ORDINAL),
+        (ValueError, r"^tie_policy must be one of", [series("a", [1])], "dense"),
     ]
-    for error, parts, policy in cases:
-        with pytest.raises(error):
+    for error, message, parts, policy in cases:
+        with pytest.raises(error, match=message) as exc:
             build_world(parts, tie_policy=policy)
+        assert isinstance(exc.value, DataError) == (error is DataError)
     world = build_world([series("a", [3, 1]), series("b", [])])
     assert isinstance(world, RankQuery)
-    with pytest.raises(UnknownLabelError):
+    with pytest.raises(DataError, match=r"^unknown series label 'zz'$"):
         world.top_rank1s("zz", 1)
-    with pytest.raises(InsufficientPapersError):
+    with pytest.raises(DataError, match=r"^unit b has 0 papers, 1 required$"):
         world.top_rank1s("b", 1)
     for k in (0, -3):
         with pytest.raises(ValueError, match="k must be >= 1"):
@@ -372,7 +376,10 @@ def test_many_label_query_matches_one_label_queries_and_oracle(world, tie_policy
     k = max(sizes.values())
     labels = query + ["zz"]
     short = next(label for label in labels if sizes.get(label, 0) < k)
-    error = UnknownLabelError if short == "zz" else InsufficientPapersError
-    with pytest.raises(error, match=f"'{short}'" if short == "zz" else f"unit {short} has"):
+    if short == "zz":
+        message = "unknown series label 'zz'"
+    else:
+        message = f"unit {short} has {sizes[short]} papers, {k} required"
+    with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
         index.top_rank1s_many(labels, k)
     assert index.top_rank1s_many([], 1).shape == (0, 1)

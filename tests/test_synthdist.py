@@ -1,5 +1,6 @@
 import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,13 +9,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rankmetrics import synthdist
+from rankmetrics.errors import DataError
 from rankmetrics.synthdist import (
     REAL,
     SYNTHETIC,
     CitationSeries,
-    ConfigError,
     EnsembleConfig,
-    GridError,
     LognormalSpec,
     build_grid,
     generate_ensemble,
@@ -50,8 +50,10 @@ def test_three_point_spacing():
 
 
 def test_single_mu_with_distinct_endpoints_rejected():
-    with pytest.raises(GridError):
-        build_grid(EnsembleConfig(4.0, 2.0, 1, (10,)))
+    # refused when the config is built, so a config file's error names the file
+    with pytest.raises(DataError, match=r"^mu_count=1 requires mu_start == mu_end$"):
+        EnsembleConfig(4.0, 2.0, 1, (10,))
+    assert build_grid(EnsembleConfig(3.5, 3.5, 1, (10, 5)))[1].mu == 3.5
 
 
 def test_labels_continue_past_two_letters():
@@ -229,10 +231,10 @@ def test_stream_id_is_a_nonnegative_integer():
 )
 def test_out_of_range_mu_keeps_its_grid_error(mu, cause):
     message = f"series aa: mu = {mu} puts values outside float range ({cause})"
-    with pytest.raises(GridError) as exc:
+    with pytest.raises(DataError) as exc:
         generate_ensemble(EnsembleConfig(mu, mu, 1, (4, 1), seed=3))
     assert str(exc.value) == message
-    with pytest.raises(GridError) as exc:
+    with pytest.raises(DataError) as exc:
         sample_series(LognormalSpec("aa", mu, 1.1, 4), 3, 0)
     assert str(exc.value) == message
 
@@ -240,7 +242,7 @@ def test_out_of_range_mu_keeps_its_grid_error(mu, cause):
 def test_ensemble_names_its_first_out_of_range_series():
     # aa and ab sample fine at mu = 2; ac is the first series at mu = 800
     config = EnsembleConfig(2.0, 800.0, 2, (4, 1), seed=3)
-    with pytest.raises(GridError) as exc:
+    with pytest.raises(DataError) as exc:
         generate_ensemble(config)
     assert str(exc.value) == (
         "series ac: mu = 800.0 puts values outside float range (citation values must be finite)"
@@ -278,19 +280,22 @@ def test_config_file_round_trip(tmp_path):
     assert config == EnsembleConfig(4.0, 2.0, 200, (800, 400, 200), seed=42)
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        "mu_start = 4.0\n",  # missing keys
-        "mu_start = 4.0\nmu_end = 2.0\nmu_count = 2\nsizes = 10\nseed = 1\nbogus = 3\n",
-        "mu_start4.0\nmu_end = 2.0\nmu_count = 2\nsizes = 10\nseed = 1\n",
-        "mu_start = 4.0\nmu_start = 3.0\nmu_end = 2.0\nmu_count = 2\nsizes = 10\nseed = 1\n",
-    ],
-)
-def test_config_file_rejects_bad_text(tmp_path, text):
+BAD_CONFIG_TEXTS = [
+    ("mu_start = 4.0\n", "bad.cfg: missing keys ['mu_end', 'mu_count', 'sizes', 'seed']"),
+    ("mu_start = 4.0\nmu_end = 2.0\nmu_count = 2\nsizes = 10\nseed = 1\nbogus = 3\n",
+     "bad.cfg:6: unknown key 'bogus'"),
+    ("mu_start4.0\nmu_end = 2.0\nmu_count = 2\nsizes = 10\nseed = 1\n",
+     "bad.cfg:1: expected 'key = value', got 'mu_start4.0'"),
+    ("mu_start = 4.0\nmu_start = 3.0\nmu_end = 2.0\nmu_count = 2\nsizes = 10\nseed = 1\n",
+     "bad.cfg:2: duplicate key 'mu_start'"),
+]
+
+
+@pytest.mark.parametrize("text, message", BAD_CONFIG_TEXTS, ids=[t for t, _ in BAD_CONFIG_TEXTS])
+def test_config_file_rejects_bad_text(tmp_path, text, message):
     path = tmp_path / "bad.cfg"
     path.write_text(text)
-    with pytest.raises(ConfigError):
+    with pytest.raises(DataError, match=re.escape(message) + "$"):
         load_config(path)
 
 
