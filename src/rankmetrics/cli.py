@@ -284,11 +284,12 @@ def cmd_rank(args) -> int:
     return emit(report, args)
 
 
-def corpus_unit(args, records) -> ingest.AssessmentRow:
-    """The assessment row of --country and --split."""
+def corpus_unit(args, records, xs=()) -> ingest.AssessmentRow:
+    """The assessment row of --country and --split, counted at the top 10%
+    and at each top x% of `xs`."""
     rows = ingest.assess(
         records, [args.country], k=args.k, offset=args.offset,
-        scale=args.scale, tie_policy=args.tie_policy,
+        scale=args.scale, tie_policy=args.tie_policy, xs=tuple(xs),
     )
     return next(r for r in rows if r.split == args.split)
 
@@ -350,10 +351,10 @@ def ptop_corpus(args, xs) -> int:
     records = load_corpus_or_fail(args)
     if not args.country or not args.split:
         raise DataError("corpus ptop needs --country and --split")
-    unit = corpus_unit(args, records)
+    unit = corpus_unit(args, records, xs)
     row = {"label": f"{args.country}:{args.split}", "p": unit.p, "p0": unit.p0}
     for x in xs:
-        row[f"ptop_{x:g}"] = ingest.top_count(unit.ranks, x, len(records))
+        row[f"ptop_{x:g}"] = unit.top_counts[x]
     row["rk"] = "" if unit.rk is None else unit.rk.rk
     params = corpus_parameters(args, x=xs)
     return emit(experiments.ExperimentReport("ptop", params, [row]), args)

@@ -206,9 +206,8 @@ def select_99(ensemble: Ensemble) -> list[str]:
         )
     if config.mu_count < MU_PICKS:
         raise DataError(f"grid has {config.mu_count} mu values, {MU_PICKS} required")
+    # with mu_count >= MU_PICKS the picks step by at least 1: all distinct
     idx = np.round(np.linspace(0, config.mu_count - 1, MU_PICKS)).astype(int)
-    if len(set(idx.tolist())) != MU_PICKS:
-        raise DataError("mu grid too coarse for an even selection")
     labels = []
     for i in idx:
         for j in range(3):

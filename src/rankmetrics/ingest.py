@@ -5,7 +5,7 @@ paper with its citation count already aggregated over the intended
 citation window.  Window logic therefore lives in the sidecar metadata
 and is validated, not computed.  The loader parses the rows into
 columns (`Corpus`), with each paper's countries held as integer codes.
-Assessment ranks every paper once against the full-corpus world list,
+Assessment places every paper once in the full-corpus world order,
 splits each country's papers into domestic (single-country affiliation)
 and internationally collaborative sets, and bundles the indicators into
 one row per country and split.
@@ -16,12 +16,12 @@ from __future__ import annotations
 import csv
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataError, not_utf8, read_text
-from .indicators import DEFAULT_K, DEFAULT_OFFSET, DEFAULT_SCALE, RkResult, rk_rows, top_count
+from .indicators import DEFAULT_K, DEFAULT_OFFSET, DEFAULT_SCALE, RkResult, percentile_cutoff, rk_rows
 # The corpus ranks without `build_world` and scores its units without
 # `rk_from_rank1s`; both stay importable here because perfbench/spans.py
 # wraps `ingest.build_world` and `ingest.rk_from_rank1s` by name and fails
@@ -191,9 +191,9 @@ class CountrySplit:
 class AssessmentRow:
     """Indicator bundle for one country and split: paper count, uncited
     count, top-10% count and share, and the rank index (or an explicit
-    insufficient-papers marker for units below k papers).  `ranks` are
-    the world ranks of the unit's papers, an ascending int64 array from
-    which every indicator of the unit is read; rows compare without it."""
+    insufficient-papers marker for units below k papers).  `top_counts`
+    maps each top-x% that `assess` was asked for, 10 always among them,
+    to the unit's papers holding a world rank <= floor(x/100 * W)."""
 
     country: str
     split: str
@@ -203,7 +203,7 @@ class AssessmentRow:
     ptop10_over_p: float | None
     rk: RkResult | None
     rk_status: str
-    ranks: np.ndarray = field(repr=False, compare=False)
+    top_counts: dict[float, int]
 
 
 def load_corpus(path, meta: CorpusMeta | None = None) -> CorpusLoadResult:
@@ -242,10 +242,7 @@ def _read_corpus(reader, path, meta: CorpusMeta | None) -> CorpusLoadResult:
     # Each distinct year text is checked once, and each distinct count and
     # countries text converted and checked once; a year is not kept.
     good_years, count_of, cell_codes, code_of = set(), {}, {}, {}
-    end = reader.line_num
     for row in reader:
-        # a row starts on the line after the last one the previous row spans
-        line, end = end + 1, reader.line_num
         if not row:
             continue
         # The checks run in this order and the first failing one names the
@@ -283,7 +280,7 @@ def _read_corpus(reader, path, meta: CorpusMeta | None) -> CorpusLoadResult:
             if not codes:
                 raise ValueError("empty country list")
         except ValueError as exc:
-            errors.append(RowError(line=line, message=str(exc)))
+            errors.append(RowError(line=_first_line(reader, row), message=str(exc)))
             continue
         seen.add(paper_id)
         ids.append(paper_id)
@@ -295,6 +292,15 @@ def _read_corpus(reader, path, meta: CorpusMeta | None) -> CorpusLoadResult:
         indptr=np.array(indptr, dtype=np.int64), indices=np.array(indices, dtype=np.int64),
     )
     return CorpusLoadResult(records=corpus, errors=errors)
+
+
+def _first_line(reader, row: list[str]) -> int:
+    """The line the row just read starts on.  The reader has counted the
+    row's last line, and a row spans more than one line only through line
+    breaks inside its quoted fields; `\\r\\n`, a lone `\\r` and a lone
+    `\\n` each end one line."""
+    breaks = sum(cell.count("\n") + cell.count("\r") - cell.count("\r\n") for cell in row)
+    return reader.line_num - breaks
 
 
 # `split_country` and `corpus_world_ranks` serve tests only, but
@@ -320,6 +326,86 @@ def corpus_world_ranks(corpus: Corpus, tie_policy: str = ORDINAL) -> dict[str, i
     return dict(zip(corpus.ids, corpus.world_ranks(tie_policy).tolist()))
 
 
+class _WorldOrder:
+    """A corpus in world order, with exact world ranks worked out only in
+    the tie blocks a caller reads.
+
+    One sort by citations descending gives every paper a position, 1 to
+    n.  The papers of one citation count, a tie block, hold one run of
+    positions, and under both tie policies each holds a world rank in its
+    block's run: the block's first position (`competition`), or the
+    block's positions given out in id order (`ordinal`).  So a paper alone
+    in its block ranks at its position, a rank that ends a block splits
+    every block wholly in or out, and only the blocks a caller reads into
+    are ever ordered by id.  Every rank is worked out from a whole block,
+    so the sort need not be stable: the order it leaves ties in is never
+    read.
+    """
+
+    def __init__(self, corpus: Corpus, tie_policy: str):
+        self.order = np.argsort(np.negative(corpus.citations))  # position - 1 -> paper
+        counts = corpus.citations[self.order]
+        # each block's first position, then one past the last block's end
+        self.starts = np.concatenate(
+            ([1], np.flatnonzero(counts[1:] != counts[:-1]) + 2, [len(counts) + 1])
+        )
+        self.ids = corpus.ids
+        self.ordinal = tie_policy == ORDINAL
+        self._id_places = {}
+
+    def positions(self) -> np.ndarray:
+        """Each paper's position, in row order."""
+        positions = np.empty_like(self.order)
+        positions[self.order] = np.arange(1, len(self.order) + 1)
+        return positions
+
+    def blocks(self, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The first and last position of each position's tie block."""
+        block = np.searchsorted(self.starts, positions, side="right")
+        return self.starts[block - 1], self.starts[block] - 1
+
+    def ranks(self, positions: np.ndarray) -> np.ndarray:
+        """The world ranks of the papers at `positions`."""
+        first, last = self.blocks(positions)
+        if not self.ordinal:
+            return first
+        ranks = positions.copy()
+        tied = first != last
+        for start, stop in set(zip(first[tied].tolist(), last[tied].tolist())):
+            inside = first == start
+            ranks[inside] = start + self._id_place(start, stop)[positions[inside] - start]
+        return ranks
+
+    def _id_place(self, start: int, stop: int) -> np.ndarray:
+        """The place, from 0, of each position start..stop in its block's
+        id order; each block is ordered once."""
+        places = self._id_places.get(start)
+        if places is None:
+            ids = [self.ids[paper] for paper in self.order[start - 1:stop].tolist()]
+            places = np.empty(len(ids), dtype=np.int64)
+            places[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
+            self._id_places[start] = places
+        return places
+
+    def top(self, positions: np.ndarray, k: int) -> np.ndarray:
+        """The k best world ranks of ascending `positions`, of which there
+        are at least k.  Only the blocks up to the k-th paper's are read."""
+        _, last = self.blocks(positions[k - 1:k])
+        head = positions[:np.searchsorted(positions, last[0], side="right")]
+        return np.sort(self.ranks(head))[:k]
+
+    def count(self, positions: np.ndarray, cutoff: int) -> int:
+        """How many of ascending `positions` hold a world rank <= cutoff.
+        Only a block that straddles the cutoff is read."""
+        if cutoff < 1:
+            return 0
+        (first,), (last,) = self.blocks(np.array([cutoff]))
+        before, through = np.searchsorted(positions, [first, last + 1]).tolist()
+        if cutoff == last:
+            return through
+        return before + int(np.count_nonzero(self.ranks(positions[before:through]) <= cutoff))
+
+
 def assess(
     corpus: Corpus,
     countries: list[str],
@@ -327,23 +413,39 @@ def assess(
     offset: float = DEFAULT_OFFSET,
     scale: float = DEFAULT_SCALE,
     tie_policy: str = ORDINAL,
+    xs: tuple[float, ...] = (),
 ) -> list[AssessmentRow]:
     """Country/split assessment rows against the full-corpus world list.
 
     The world includes every paper regardless of split, so a country's
     domestic ranks still compete with everyone's collaborative papers.
+    Each row counts its papers in the top 10% and in the top x% of every
+    x in `xs`.  The rows read a unit's k best world ranks and its count
+    at each cutoff rank, so under `ordinal` ids are ordered only in the
+    tie blocks holding a unit's top k and in a block a cutoff splits
+    (`_WorldOrder`); every other rank sits where the sort by citations
+    puts it, and every count stays exact.
     """
+    if tie_policy not in TIE_POLICIES:
+        raise ValueError(f"tie_policy must be one of {TIE_POLICIES}")
     world_size = len(corpus)
-    ranks = corpus.world_ranks(tie_policy)
+    if not world_size:
+        raise DataError("corpus holds no records")
+    world = _WorldOrder(corpus, tie_policy)
     # One sorted key per (country, split, paper): the unit 2 * code +
-    # collaborative, then the paper's rank, so each unit's ranks are one
-    # ascending slice.
+    # collaborative, then the paper's position, so each unit's positions
+    # are one ascending slice.  The keys are built and sorted in place: at
+    # a million papers each array they pass through is 10 MB.
     paper, collaborative = corpus.incidence()
     stride = world_size + 1
-    keys = np.sort((2 * corpus.indices + collaborative) * stride + ranks[paper])
-    # Under both tie policies a cited paper holds a world rank <= cited
-    # and an uncited one a rank > cited, so p0 counts ranks > cited.
+    keys = world.positions()[paper]
+    keys += (2 * corpus.indices + collaborative) * stride
+    keys.sort()
+    # Under both tie policies a cited paper holds a position and a world
+    # rank <= cited and an uncited one both > cited, so p0 counts
+    # positions > cited.
     cited = int(np.count_nonzero(corpus.citations))
+    cutoffs = {x: percentile_cutoff(x, world_size) for x in (10.0, *xs)}
     units = []
     for country in countries:
         code = corpus.code(country)
@@ -351,32 +453,33 @@ def assess(
             lo, hi = np.searchsorted(keys, [unit * stride, (unit + 1) * stride]).tolist()
             units.append((country, kind, keys[lo:hi] - unit * stride))
     # the Rk of every unit of at least k papers, in one row-wise pass
-    tops = [ranks[:k] for _, _, ranks in units if ranks.size >= k]
+    tops = [world.top(positions, k) for _, _, positions in units if positions.size >= k]
     rks = iter(rk_rows(np.array(tops), offset=offset, scale=scale).tolist() if tops else ())
+    tops = iter(tops)
     rows = []
-    for country, kind, ranks in units:
-        p = ranks.size
-        ptop10 = top_count(ranks, 10.0, world_size)
+    for country, kind, positions in units:
+        p = positions.size
+        top_counts = {x: world.count(positions, cutoff) for x, cutoff in cutoffs.items()}
         if p >= k:
-            rank1s = tuple(ranks[:k].tolist())
             rk = RkResult(
                 label=f"{country}:{kind}", rk=next(rks),
-                k=k, offset=offset, scale=scale, rank1s=rank1s,
+                k=k, offset=offset, scale=scale, rank1s=tuple(next(tops).tolist()),
             )
             status = RK_OK
         else:
             rk, status = None, RK_INSUFFICIENT
+        ptop10 = top_counts[10.0]
         rows.append(
             AssessmentRow(
                 country=country,
                 split=kind,
                 p=p,
-                p0=p - int(np.searchsorted(ranks, cited, side="right")),
+                p0=p - int(np.searchsorted(positions, cited, side="right")),
                 ptop10=ptop10,
                 ptop10_over_p=(ptop10 / p) if p else None,
                 rk=rk,
                 rk_status=status,
-                ranks=ranks,
+                top_counts=top_counts,
             )
         )
     return rows

@@ -4,6 +4,7 @@ import json
 import math
 import os
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -116,6 +117,21 @@ def test_select_99(world600):
 def test_select_99_complete_small_grid(small_ensemble):
     labels = select_99(small_ensemble)
     assert labels == [spec.label for spec in small_ensemble.specs]
+
+
+def test_select_99_picks_33_distinct_mu_values_on_every_grid():
+    # select_99 reads only the grid's shape and each spec's label, so a
+    # stand-in whose spec i is labelled i covers 1,968 grids in a blink
+    class Specs:
+        def __getitem__(self, index):
+            return SimpleNamespace(label=index)
+
+    for mu_count in range(33, 2001):
+        ensemble = SimpleNamespace(config=SimpleNamespace(sizes=(3, 2, 1), mu_count=mu_count),
+                                   specs=Specs())
+        labels = select_99(ensemble)
+        assert labels[:3] == [0, 1, 2] and labels[-1] == 3 * mu_count - 1
+        assert len({label // 3 for label in labels}) == 33
 
 
 def test_select_99_needs_triples():

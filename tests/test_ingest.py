@@ -1,4 +1,7 @@
+import io
+import math
 from collections import namedtuple
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,7 +25,6 @@ from rankmetrics.ingest import (
     corpus_world_ranks,
     load_corpus,
     split_country,
-    top_count,
 )
 from rankmetrics.rankcore import build_world
 from rankmetrics.synthdist import REAL, CitationSeries, EnsembleConfig, generate_ensemble
@@ -341,7 +343,7 @@ def oracle_ranks(records, tie_policy):
     return {r.id: 1 + sum(o.citations > r.citations for o in records) for r in records}
 
 
-def oracle_assess(records, countries, k, offset, scale, tie_policy):
+def oracle_assess(records, countries, k, offset, scale, tie_policy, xs=()):
     rank_of = oracle_ranks(records, tie_policy)
     rows = []
     for country in countries:
@@ -350,18 +352,22 @@ def oracle_assess(records, countries, k, offset, scale, tie_policy):
                        if country in r.countries and (len(r.countries) == 1) == (split == DOMESTIC)]
             ranks = sorted(rank_of[r.id] for r in members)
             p = len(ranks)
-            ptop10 = sum(1 for rank in ranks if rank <= len(records) // 10)
+            top_counts = {}
+            for x in (10.0, *xs):
+                cutoff = math.floor(Fraction(x) * len(records) / 100)
+                top_counts[x] = sum(1 for rank in ranks if rank <= cutoff)
+            ptop10 = top_counts[10.0]
             rk = None
             if p >= k:
                 rk = RkResult(
                     label=f"{country}:{split}", rk=rk_from_rank1s(ranks[:k], offset=offset, scale=scale),
                     k=k, offset=offset, scale=scale, rank1s=tuple(ranks[:k]),
                 )
-            rows.append((AssessmentRow(
+            rows.append(AssessmentRow(
                 country=country, split=split, p=p, p0=sum(r.citations == 0 for r in members),
                 ptop10=ptop10, ptop10_over_p=ptop10 / p if p else None, rk=rk,
-                rk_status=RK_INSUFFICIENT if rk is None else RK_OK, ranks=None,
-            ), ranks))
+                rk_status=RK_INSUFFICIENT if rk is None else RK_OK, top_counts=top_counts,
+            ))
     return rows
 
 
@@ -395,9 +401,12 @@ def corpus_rows(draw):
     k=st.integers(1, 3),
     offset=st.sampled_from([0.0, 20.0]),
     scale=st.sampled_from([1.0, 1000.0]),
+    # quarters of a percent are exact binary floats; with at most 40 rows
+    # and a handful of citation counts most cutoffs split a tie block
+    xs=st.lists(st.integers(1, 400).map(lambda quarters: quarters / 4), max_size=4, unique=True),
 )
 @settings(max_examples=200, deadline=None)
-def test_loader_and_assess_match_per_row_oracle(tmp_path_factory, rows, window, k, offset, scale):
+def test_loader_and_assess_match_per_row_oracle(tmp_path_factory, rows, window, k, offset, scale, xs):
     has_field, lines = rows
     path = tmp_path_factory.getbasetemp() / "fuzz.csv"
     header = "id,year,citations,countries" + (",field" if has_field else "")
@@ -426,10 +435,9 @@ def test_loader_and_assess_match_per_row_oracle(tmp_path_factory, rows, window, 
         )
     for tie_policy in ("ordinal", "competition"):
         assert corpus_world_ranks(loaded.records, tie_policy) == oracle_ranks(records, tie_policy)
-        got = assess(loaded.records, countries, k=k, offset=offset, scale=scale, tie_policy=tie_policy)
-        expected = oracle_assess(records, countries, k, offset, scale, tie_policy)
-        assert got == [row for row, _ in expected]
-        assert [row.ranks.tolist() for row in got] == [ranks for _, ranks in expected]
+        got = assess(loaded.records, countries, k=k, offset=offset, scale=scale,
+                     tie_policy=tie_policy, xs=tuple(xs))
+        assert got == oracle_assess(records, countries, k, offset, scale, tie_policy, xs)
     with pytest.raises(DataError, match=r"^country 'ZZZ' does not appear in the corpus$"):
         assess(loaded.records, ["ZZZ"])
 
@@ -500,16 +508,94 @@ def test_corpus_assessment_equals_the_synthetic_world(tmp_path, tie_policy):
     path = write_corpus(tmp_path, "\n".join(lines) + "\n")
     corpus = load_corpus(path).records
     k = 10
-    rows = assess(corpus, [s.label.upper() for s in series], k=k, tie_policy=tie_policy)
+    xs = (1.0, 10.0, 25.0, 50.0)
+    rows = assess(corpus, [s.label.upper() for s in series], k=k, tie_policy=tie_policy, xs=xs)
     world = build_world(series, tie_policy=tie_policy)
     assert world.size == len(corpus)
     for s, (domestic, collaborative) in zip(series, zip(rows[::2], rows[1::2])):
         assert (domestic.split, collaborative.p) == (DOMESTIC, 0)
-        assert domestic.ranks.tolist() == world.top_rank1s(s.label, s.n).tolist()
+        assert domestic.p == s.n
         assert domestic.rk.rank1s == tuple(world.top_rank1s(s.label, k).tolist())
         assert domestic.p0 == count_uncited(s)
         assert domestic.ptop10 == empirical_ptop(world, s.label, 10.0).value
-        for x in (1.0, 25.0, 50.0):
-            assert top_count(domestic.ranks, x, len(corpus)) == empirical_ptop(world, s.label, x).value
+        assert domestic.top_counts == {x: empirical_ptop(world, s.label, x).value for x in xs}
     assert any(domestic.p0 for domestic in rows[::2])
     assert len(np.unique(corpus.citations)) < len(corpus) // 2  # ties across series
+
+
+@pytest.mark.parametrize("tie_policy", ["ordinal", "competition"])
+def test_a_top_k_and_cutoffs_inside_one_large_tied_block(tmp_path, tie_policy):
+    # 100 papers: 5 above a block of 60 tied at 50 citations (positions
+    # 6-65), 35 below it.  USA's 10th best paper and the 10% and 50%
+    # cutoffs all fall inside the block, and ids run against file order,
+    # so USA's block members, listed first, come last in id order.
+    citations = [100, 99, 98, 97, 96] + [50] * 60 + list(range(40, 5, -1))
+    countries = [["USA"], ["CHN"], ["USA"], ["CHN"], ["USA"]]
+    countries += [["USA"]] * 20 + [["CHN"]] * 15 + [["USA", "CHN"]] * 10 + [["CHN"]] * 15
+    countries += [["USA"] if i % 2 else ["CHN"] for i in range(35)]
+    papers = [(f"p{99 - i:03d}", c, owners) for i, (c, owners) in enumerate(zip(citations, countries))]
+    corpus = load_rows(tmp_path, papers)
+    ranks = corpus.world_ranks(tie_policy)
+    xs = (1.0, 25.0, 50.0, 64.5, 65.0, 100.0)
+    rows = assess(corpus, ["USA", "CHN"], k=10, tie_policy=tie_policy, xs=xs)
+    for row in rows:
+        mine = sorted(ranks[i] for i, (_, _, owners) in enumerate(papers)
+                      if row.country in owners and (len(owners) == 1) == (row.split == DOMESTIC))
+        assert row.p == len(mine)
+        assert row.rk.rank1s == tuple(mine[:10])
+        assert row.top_counts == {x: sum(r <= math.floor(x) for r in mine) for x in (10.0, *xs)}
+    usa = rows[0]
+    if tie_policy == "ordinal":
+        # file order would have given the block's first ranks, 6-12
+        assert usa.rk.rank1s == (1, 3, 5, 46, 47, 48, 49, 50, 51, 52)
+        assert (usa.top_counts[10.0], usa.top_counts[50.0]) == (3, 8)
+    else:
+        assert usa.rk.rank1s == (1, 3, 5, 6, 6, 6, 6, 6, 6, 6)
+        assert (usa.top_counts[10.0], usa.top_counts[50.0]) == (23, 23)
+
+
+def test_numeric_cells_load_as_int_reads_them(tmp_path):
+    # underscores, a sign, surrounding spaces and non-ASCII digits are
+    # all numbers to int(), so the rows load, with no row errors
+    path = write_corpus(tmp_path, "p1,2_015,1_000,USA\np2,+2015,+5,USA\np3,2015, 7 ,USA\np4,2015,٣,USA\n")
+    result = load_corpus(path, CorpusMeta(pub_window=(2014, 2017)))
+    assert result.errors == []
+    assert result.records.citations.tolist() == [1000, 5, 7, 3]
+
+
+LINE_ENDS = ("\n", "\r\n", "\r")
+
+
+@st.composite
+def multiline_corpus(draw):
+    """A corpus text whose cells may be quoted and hold line breaks, with
+    blank lines between rows, and the (line, message) of each row it plants
+    to fail.  The line a row starts on is counted as the text is written,
+    by reading that text back line by line."""
+    end = draw(st.sampled_from(LINE_ENDS))
+    text, expected = HEADER.replace("\n", end), []
+    for i in range(draw(st.integers(0, 12))):
+        text += end * draw(st.sampled_from([0, 0, 0, 1, 2]))
+        cells = [f"p{i}", "2015", draw(st.sampled_from(["3", "-1"])), "USA"]
+        for c in range(4):
+            if draw(st.booleans()):
+                breaks = draw(st.lists(st.sampled_from(LINE_ENDS), max_size=3))
+                cells[c] = '"' + "".join(breaks) + cells[c] + draw(st.sampled_from(["", *LINE_ENDS])) + '"'
+        if draw(st.integers(0, 5)) == 0:
+            cells[0] = '"' + draw(st.sampled_from(LINE_ENDS)) + '"'
+        line = len(io.StringIO(text, newline="").readlines()) + 1
+        if not cells[0].strip('"\r\n'):
+            expected.append((line, "empty id"))
+        elif cells[2].strip('"\r\n') == "-1":
+            expected.append((line, "negative citation count -1"))
+        text += ",".join(cells) + end
+    return text, expected
+
+
+@given(corpus=multiline_corpus())
+@settings(max_examples=300, deadline=None)
+def test_rejected_rows_name_the_line_they_start_on(tmp_path_factory, corpus):
+    text, expected = corpus
+    path = tmp_path_factory.getbasetemp() / "multiline.csv"
+    path.write_bytes(text.encode())
+    assert [(e.line, e.message) for e in load_corpus(path).errors] == expected
