@@ -4,75 +4,59 @@ Synthetic lognormal citation ensembles, dual-rank extraction against an
 aggregated world list, the Rk-index and top-percentile indicators, the
 validation experiments behind them, and an ingest path for real
 citation-record files.
+
+The names below load their module on first access (PEP 562), so
+importing the package, or the command line, loads no numpy.
 """
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .errors import DataError
-from .indicators import (
-    PercentileResult,
-    RkResult,
-    analytic_ptop,
-    count_uncited,
-    empirical_ptop,
-    lognormal_survival,
-    percentile_cutoff,
-    rk_from_rank1s,
-    rk_index,
-    rk_rows,
-)
-from .rankcore import (
-    COMPETITION,
-    ORDINAL,
-    RankPair,
-    RankQuery,
-    TopKRanks,
-    build_world,
-    dual_ranks,
-    geometric_mean,
-    ratio_index,
-    top_k,
-)
-from .synthdist import (
-    CitationSeries,
-    Ensemble,
-    EnsembleConfig,
-    LognormalSpec,
-    build_grid,
-    generate_ensemble,
-    load_config,
-    sample_series,
-)
+# each package-level name and the module that defines it
+_HOMES = {
+    "DataError": "errors",
+    "CitationSeries": "synthdist",
+    "Ensemble": "synthdist",
+    "EnsembleConfig": "synthdist",
+    "LognormalSpec": "synthdist",
+    "build_grid": "synthdist",
+    "generate_ensemble": "synthdist",
+    "load_config": "synthdist",
+    "sample_series": "synthdist",
+    "COMPETITION": "base",
+    "ORDINAL": "base",
+    "RankPair": "rankcore",
+    "RankQuery": "rankcore",
+    "TopKRanks": "rankcore",
+    "build_world": "rankcore",
+    "dual_ranks": "rankcore",
+    "geometric_mean": "rankcore",
+    "ratio_index": "rankcore",
+    "top_k": "rankcore",
+    "PercentileResult": "indicators",
+    "RkResult": "indicators",
+    "analytic_ptop": "indicators",
+    "count_uncited": "indicators",
+    "empirical_ptop": "indicators",
+    "lognormal_survival": "indicators",
+    "percentile_cutoff": "indicators",
+    "rk_from_rank1s": "indicators",
+    "rk_index": "indicators",
+    "rk_rows": "indicators",
+}
 
-__all__ = [
-    "__version__",
-    "DataError",
-    "CitationSeries",
-    "Ensemble",
-    "EnsembleConfig",
-    "LognormalSpec",
-    "build_grid",
-    "generate_ensemble",
-    "load_config",
-    "sample_series",
-    "COMPETITION",
-    "ORDINAL",
-    "RankPair",
-    "RankQuery",
-    "TopKRanks",
-    "build_world",
-    "dual_ranks",
-    "geometric_mean",
-    "ratio_index",
-    "top_k",
-    "PercentileResult",
-    "RkResult",
-    "analytic_ptop",
-    "count_uncited",
-    "empirical_ptop",
-    "lognormal_survival",
-    "percentile_cutoff",
-    "rk_from_rank1s",
-    "rk_index",
-    "rk_rows",
-]
+__all__ = ["__version__", *_HOMES]
+
+
+def __getattr__(name):
+    home = _HOMES.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{home}"), name)
+    globals()[name] = value  # later lookups skip this function
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

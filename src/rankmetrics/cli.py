@@ -10,18 +10,28 @@ reproduce it byte for byte.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import hashlib
 import json
 import math
 import os
 import sys
 import warnings
+from typing import TYPE_CHECKING
 
-from . import __version__, experiments, indicators, ingest, rankcore, synthdist, table
+from . import __version__
+from .base import (
+    COLLABORATIVE, DEFAULT_K, DEFAULT_OFFSET, DEFAULT_SCALE, DOMESTIC, FORMATS, ORDINAL,
+    TIE_POLICIES, atomic_open, atomic_write_text, config_hash,
+)
 from .errors import DataError, read_text
-from .experiments import atomic_open, atomic_write_text, config_hash
-from .rankcore import TIE_POLICIES
+
+if TYPE_CHECKING:
+    from . import experiments, ingest, synthdist
+
+# Each handler imports the modules it runs, so building the parser loads no
+# numpy and a command loads only its own modules.  A handler calls them as
+# `module.name`, looked up when it runs, so a wrapper set on a module from
+# outside is the one called.
 
 DEFAULT_X = (10.0, 1.0, 0.5, 0.1, 0.01)
 # the flags a study command passes to its `experiments.run_*` by name
@@ -73,16 +83,16 @@ def add_common(p, config=False, corpus=False, report=True):
             help="proceed with valid rows instead of failing on row errors",
         )
     if report:  # gen writes a fixed set of CSV files and ranks nothing
-        p.add_argument("--tie-policy", choices=TIE_POLICIES, default=rankcore.ORDINAL)
-        p.add_argument("--format", choices=table.FORMATS, default="csv")
+        p.add_argument("--tie-policy", choices=TIE_POLICIES, default=ORDINAL)
+        p.add_argument("--format", choices=FORMATS, default="csv")
     p.add_argument("--out", help="output directory (default: stdout where supported)")
 
 
 def add_indicator_flags(p, index=True):
-    p.add_argument("--k", type=int, default=indicators.DEFAULT_K)
+    p.add_argument("--k", type=int, default=DEFAULT_K)
     if index:  # tables1 reports rank ratios, not the index
-        p.add_argument("--offset", type=float, default=indicators.DEFAULT_OFFSET)
-        p.add_argument("--scale", type=float, default=indicators.DEFAULT_SCALE)
+        p.add_argument("--offset", type=float, default=DEFAULT_OFFSET)
+        p.add_argument("--scale", type=float, default=DEFAULT_SCALE)
 
 
 def gen_arguments(p):
@@ -101,7 +111,7 @@ def rk_arguments(p):
     add_common(p, corpus=True)
     add_indicator_flags(p)
     p.add_argument("--country", required=True)
-    p.add_argument("--split", choices=(ingest.DOMESTIC, ingest.COLLABORATIVE), required=True)
+    p.add_argument("--split", choices=(DOMESTIC, COLLABORATIVE), required=True)
     p.set_defaults(handler=cmd_rk)
 
 
@@ -112,7 +122,7 @@ def ptop_arguments(p):
                    help="comma-separated percentile list")
     p.add_argument("--labels", help="series labels (synthetic input; default: triple selection)")
     p.add_argument("--country", help="country code (corpus input)")
-    p.add_argument("--split", choices=(ingest.DOMESTIC, ingest.COLLABORATIVE),
+    p.add_argument("--split", choices=(DOMESTIC, COLLABORATIVE),
                    help="country split (corpus input)")
     p.set_defaults(handler=cmd_ptop)
 
@@ -197,6 +207,10 @@ def parse_labels(args) -> list[str] | None:
 
 
 def load_run_config(args) -> synthdist.EnsembleConfig:
+    import dataclasses
+
+    from . import synthdist
+
     if not args.config:
         raise DataError("--config is required for this command")
     config = synthdist.load_config(args.config)
@@ -206,6 +220,8 @@ def load_run_config(args) -> synthdist.EnsembleConfig:
 
 
 def load_corpus_or_fail(args) -> ingest.Corpus:
+    from . import ingest
+
     if not args.input:
         raise DataError("--input is required for this command")
     meta = None
@@ -228,6 +244,8 @@ def load_corpus_or_fail(args) -> ingest.Corpus:
 
 def emit(report: experiments.ExperimentReport, args) -> int:
     """Write a report as CSV/JSON to --out (with sidecar) or stdout."""
+    from . import experiments, table
+
     if args.out:
         for path in experiments.write_report(report, args.out, fmt=args.format):
             print(path)
@@ -237,6 +255,8 @@ def emit(report: experiments.ExperimentReport, args) -> int:
 
 
 def cmd_gen(args) -> int:
+    from . import synthdist
+
     config = load_run_config(args)
     if not args.out:
         raise DataError("gen requires --out")
@@ -264,6 +284,8 @@ def cmd_gen(args) -> int:
 
 
 def cmd_rank(args) -> int:
+    from . import experiments, rankcore, synthdist
+
     config = load_run_config(args)
     labels = parse_labels(args)
     if labels is not None:  # the grid names every label: refuse one before sampling
@@ -287,6 +309,8 @@ def cmd_rank(args) -> int:
 def corpus_unit(args, records, xs=()) -> ingest.AssessmentRow:
     """The assessment row of --country and --split, counted at the top 10%
     and at each top x% of `xs`."""
+    from . import ingest
+
     rows = ingest.assess(
         records, [args.country], k=args.k, offset=args.offset,
         scale=args.scale, tie_policy=args.tie_policy, xs=tuple(xs),
@@ -295,6 +319,8 @@ def corpus_unit(args, records, xs=()) -> ingest.AssessmentRow:
 
 
 def cmd_rk(args) -> int:
+    from . import experiments, ingest
+
     records = load_corpus_or_fail(args)
     rows = ingest.assessment_table([corpus_unit(args, records)])
     params = corpus_parameters(args)
@@ -324,6 +350,8 @@ FOREIGN_FLAGS = {"--input": ("labels", "seed"),
 
 
 def cmd_ptop(args) -> int:
+    from . import experiments, synthdist
+
     xs = parse_x_list(args.x)
     if args.input and args.config:
         raise DataError("give either --config or --input, not both")
@@ -335,6 +363,8 @@ def cmd_ptop(args) -> int:
         if value is not None and value is not False:  # refused, not ignored
             raise DataError(f"--{name.replace('_', '-')} does not apply to ptop {mode}")
     if args.input:
+        if not args.country or not args.split:  # before the corpus is read
+            raise DataError("corpus ptop needs --country and --split")
         return ptop_corpus(args, xs)
     config = load_run_config(args)
     labels = parse_labels(args)
@@ -347,10 +377,10 @@ def cmd_ptop(args) -> int:
 
 
 def ptop_corpus(args, xs) -> int:
+    from . import experiments
+
     # real data carries no distribution parameters: empirical counting only
     records = load_corpus_or_fail(args)
-    if not args.country or not args.split:
-        raise DataError("corpus ptop needs --country and --split")
     unit = corpus_unit(args, records, xs)
     row = {"label": f"{args.country}:{args.split}", "p": unit.p, "p0": unit.p0}
     for x in xs:
@@ -361,6 +391,8 @@ def ptop_corpus(args, xs) -> int:
 
 
 def cmd_study(args) -> int:
+    from . import experiments, synthdist
+
     if args.command == "fig4" and not args.config:
         if args.seed is None:
             raise DataError("fig4 needs --seed when using the built-in grid")
@@ -372,7 +404,6 @@ def cmd_study(args) -> int:
     # fig4 samples its own grid; the others study a sampled ensemble
     source = config if args.command == "fig4" else synthdist.generate_ensemble(config)
     flags = {name: getattr(args, name) for name in STUDY_FLAGS if hasattr(args, name)}
-    # looked up when run, so a wrapper set on `experiments` is the one called
     return emit(getattr(experiments, args.study)(source, **flags), args)
 
 
@@ -402,6 +433,8 @@ def corpus_parameters(args, **extra) -> dict:
 
 
 def cmd_assess(args) -> int:
+    from . import experiments, ingest
+
     if args.countries is not None and args.countries_file is not None:
         raise DataError("give either --countries or --countries-file, not both")
     if args.countries is not None:

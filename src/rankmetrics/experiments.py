@@ -8,20 +8,20 @@ Rendering is left to external tools.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
-import tempfile
 from collections.abc import Iterable
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import __version__
+from .base import (
+    DEFAULT_K, DEFAULT_OFFSET, DEFAULT_SCALE, ORDINAL, atomic_open, atomic_write_text, config_hash,
+)
 from .errors import DataError
-from .indicators import DEFAULT_K, DEFAULT_OFFSET, DEFAULT_SCALE, analytic_ptop, rk_rows
-from .rankcore import ORDINAL, RankQuery, build_world, geometric_means
+from .indicators import analytic_ptop, rk_rows
+from .rankcore import RankQuery, build_world, geometric_means
 from .synthdist import Ensemble, EnsembleConfig, generate_ensemble
 from .table import write_table
 
@@ -30,38 +30,6 @@ EQUIV_RANGE_01 = (0.5, 39.5)
 EQUIV_RANGE_001 = (1.0, 39.5)
 # the fig1/fig2 selection: this many mu values, three series each
 MU_PICKS = 33
-
-
-def canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
-def config_hash(parameters: dict) -> str:
-    return hashlib.sha256(canonical_json(parameters).encode()).hexdigest()[:12]
-
-
-@contextmanager
-def atomic_open(path):
-    """A text file whose contents replace `path` only when the block exits
-    cleanly: it is written as a temp file beside `path`, then renamed, so
-    readers never see a partial file and a failure leaves none."""
-    path = os.fspath(path)
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
-    try:
-        with os.fdopen(fd, "w") as handle:
-            yield handle
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def atomic_write_text(path, text: str) -> None:
-    """Write via a temp file and rename, so readers never see a partial file."""
-    with atomic_open(path) as handle:
-        handle.write(text)
 
 
 @dataclass

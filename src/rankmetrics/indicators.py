@@ -15,13 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .base import DEFAULT_K, DEFAULT_OFFSET, DEFAULT_SCALE
 from .errors import DataError
 from .rankcore import RankQuery, TopKRanks
 from .synthdist import REAL, CitationSeries, LognormalSpec
-
-DEFAULT_K = 10
-DEFAULT_OFFSET = 20.0
-DEFAULT_SCALE = 1000.0
 
 EMPIRICAL = "empirical"
 ANALYTIC = "analytic"

@@ -20,17 +20,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .base import (
+    COLLABORATIVE, DEFAULT_K, DEFAULT_OFFSET, DEFAULT_SCALE, DOMESTIC, ORDINAL, TIE_POLICIES,
+)
 from .errors import DataError, not_utf8, read_text
-from .indicators import DEFAULT_K, DEFAULT_OFFSET, DEFAULT_SCALE, RkResult, percentile_cutoff, rk_rows
+from .indicators import RkResult, percentile_cutoff, rk_rows
 # The corpus ranks without `build_world` and scores its units without
 # `rk_from_rank1s`; both stay importable here because perfbench/spans.py
 # wraps `ingest.build_world` and `ingest.rk_from_rank1s` by name and fails
 # without them.
 from .indicators import rk_from_rank1s  # noqa: F401
-from .rankcore import ORDINAL, TIE_POLICIES, _competition_ranks, build_world  # noqa: F401
-
-DOMESTIC = "domestic"
-COLLABORATIVE = "collaborative"
+from .rankcore import _competition_ranks, build_world  # noqa: F401
 
 CORPUS_COLUMNS = ("id", "year", "citations", "countries")
 MAX_CITATIONS = 2**53

@@ -12,15 +12,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
 
+# COMPETITION is unused here but stays importable beside the other tie names
+from .base import COMPETITION, ORDINAL, TIE_POLICIES  # noqa: F401
 from .errors import DataError
-from .synthdist import CitationSeries
 
-ORDINAL = "ordinal"
-COMPETITION = "competition"
-TIE_POLICIES = (ORDINAL, COMPETITION)
+if TYPE_CHECKING:
+    from .synthdist import CitationSeries
 
 
 @dataclass(frozen=True)

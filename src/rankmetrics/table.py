@@ -23,7 +23,7 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-FORMATS = ("csv", "json")
+from .base import FORMATS
 
 
 def write_table(fileobj, columns, chunks, fmt: str = "csv") -> int:

@@ -488,6 +488,51 @@ def test_importing_the_cli_leaves_numpy_random_unloaded():
     assert result.stdout == "[]\n"
 
 
+# Run in one fresh process: which modules the package, the parser and a
+# study command load.  It prints the fig3 paths, then one JSON line.
+MODULE_SETS = """
+import json, sys
+HEAVY = ("numpy", *(f"rankmetrics.{name}" for name in
+         ("synthdist", "rankcore", "indicators", "ingest", "experiments", "table")))
+
+def loaded(*names):
+    return sorted(name for name in names if name in sys.modules)
+
+import rankmetrics
+package = loaded(*HEAVY)
+from rankmetrics import cli
+cli.build_parser()
+parser = loaded(*HEAVY)
+code = cli.main(["fig3", "--config", sys.argv[1], "--out", sys.argv[2]])
+print(json.dumps([package, parser, code, loaded("rankmetrics.experiments", "rankmetrics.ingest", "csv")]))
+"""
+
+
+def test_the_parser_loads_no_numpy_and_a_study_no_corpus_loader(tmp_path):
+    result = subprocess.run([sys.executable, "-c", MODULE_SETS, SMALL_GRID, str(tmp_path)],
+                            env=python_env(), capture_output=True, text=True, check=True)
+    package, parser, code, study = json.loads(result.stdout.splitlines()[-1])
+    assert (package, parser) == ([], [])
+    assert (code, study) == (0, ["rankmetrics.experiments"])
+
+
+def test_package_names_load_on_first_access():
+    from rankmetrics import base, errors, indicators, rankcore, synthdist
+
+    assert set(rankmetrics.__all__) <= set(dir(rankmetrics))  # loaded or not
+    namespace = {}
+    exec("from rankmetrics import *", namespace)
+    homes = (base, errors, indicators, rankcore, synthdist)
+    for name in rankmetrics.__all__:
+        holders = [module for module in homes if name in vars(module)]
+        assert name == "__version__" or holders, name
+        assert all(getattr(module, name) is namespace[name] for module in holders), name
+        assert getattr(rankmetrics, name) is namespace[name], name
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        rankmetrics.no_such_name
+    assert not hasattr(rankmetrics, "no_such_name")
+
+
 def test_oversized_citation_count_is_row_error(tmp_path, capsys):
     path = tmp_path / "big.csv"
     path.write_text(f"id,year,citations,countries\np1,2015,5,USA\np2,2015,{'9' * 401},USA\n")
@@ -622,6 +667,19 @@ def test_ptop_corpus_refuses_a_repeated_cutoff(tmp_path, corpus_csv, capsys):
     captured = capsys.readouterr()
     assert captured.err == "error: percentile 0.1 given twice\n"
     assert captured.out == ""
+    assert not out.exists()
+
+
+def test_corpus_ptop_refuses_a_missing_unit_before_reading_the_corpus(tmp_path, capsys):
+    # the bad row would end the run on its own diagnoses if the corpus were read first
+    corpus = tmp_path / "c.csv"
+    corpus.write_text("id,year,citations,countries\np1,2015,5,USA\np2,2015,x,USA\np3,2015,3,USA\n")
+    out = tmp_path / "out"
+    for unit in ([], ["--country", "USA"], ["--split", "domestic"]):
+        assert main(["ptop", "--input", str(corpus), "--x", "10", *unit, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: corpus ptop needs --country and --split\n"
+        assert captured.out == ""
     assert not out.exists()
 
 

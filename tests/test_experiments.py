@@ -11,11 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rankmetrics.base import canonical_json
 from rankmetrics.errors import DataError
 from rankmetrics.experiments import (
     ExperimentReport,
     atomic_write_text,
-    canonical_json,
     config_hash,
     extended_grid,
     nearest_mu_index,
