@@ -2,15 +2,13 @@
 indicator defaults, and the atomic writes and config hash of every output.
 
 The command line builds its parser from this module alone, so a process
-loads numpy and the modules of a command only when that command runs.
+loads numpy, a command's modules, and (imported where they are used)
+`hashlib`, `json` and `tempfile` only when that command runs.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import os
-import tempfile
 from contextlib import contextmanager
 
 # how tied values rank: ordinal is a total order, competition gives a tie
@@ -32,10 +30,14 @@ DEFAULT_SCALE = 1000.0
 
 
 def canonical_json(obj) -> str:
+    import json
+
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 def config_hash(parameters: dict) -> str:
+    import hashlib
+
     return hashlib.sha256(canonical_json(parameters).encode()).hexdigest()[:12]
 
 
@@ -44,6 +46,8 @@ def atomic_open(path):
     """A text file whose contents replace `path` only when the block exits
     cleanly: it is written as a temp file beside `path`, then renamed, so
     readers never see a partial file and a failure leaves none."""
+    import tempfile
+
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")

@@ -10,8 +10,6 @@ reproduce it byte for byte.
 from __future__ import annotations
 
 import argparse
-import hashlib
-import json
 import math
 import os
 import sys
@@ -29,9 +27,9 @@ if TYPE_CHECKING:
     from . import experiments, ingest, synthdist
 
 # Each handler imports the modules it runs, so building the parser loads no
-# numpy and a command loads only its own modules.  A handler calls them as
-# `module.name`, looked up when it runs, so a wrapper set on a module from
-# outside is the one called.
+# numpy, hashlib or json, and a command loads only its own modules.  A
+# handler calls them as `module.name`, looked up when it runs, so a wrapper
+# set on a module from outside is the one called.
 
 DEFAULT_X = (10.0, 1.0, 0.5, 0.1, 0.01)
 # the flags a study command passes to its `experiments.run_*` by name
@@ -255,6 +253,8 @@ def emit(report: experiments.ExperimentReport, args) -> int:
 
 
 def cmd_gen(args) -> int:
+    import json
+
     from . import synthdist
 
     config = load_run_config(args)
@@ -408,6 +408,8 @@ def cmd_study(args) -> int:
 
 
 def file_sha256(path) -> str:
+    import hashlib
+
     digest = hashlib.sha256()
     with open(path, "rb") as handle:
         for chunk in iter(lambda: handle.read(1 << 20), b""):

@@ -103,17 +103,10 @@ def percentile_cutoff(x: float, world_size: int) -> int:
     return int(math.floor(t * (1.0 + 4.0 * sys.float_info.epsilon)))
 
 
-def top_count(ranks: np.ndarray, x: float, world_size: int) -> int:
-    """Papers among ascending world `ranks` that hold a top-x% world rank,
-    one <= floor(x/100 * W)."""
-    return int(np.searchsorted(ranks, percentile_cutoff(x, world_size), side="right"))
-
-
 def empirical_ptop(world: RankQuery, label: str, x: float) -> PercentileResult:
     """Count a unit's papers holding world rank <= floor(x/100 * W)."""
     cutoff = percentile_cutoff(x, world.size)
-    n = world.unit_values(label).size
-    count = top_count(world.top_rank1s(label, n), x, world.size) if cutoff and n else 0
+    count = world.count(label, cutoff)
     threshold = world.value_at_rank(cutoff) if cutoff else math.inf
     return PercentileResult(
         label=label, x=x, mode=EMPIRICAL, value=count, threshold=threshold, cutoff_rank=cutoff

@@ -5,10 +5,11 @@ paper with its citation count already aggregated over the intended
 citation window.  Window logic therefore lives in the sidecar metadata
 and is validated, not computed.  The loader parses the rows into
 columns (`Corpus`), with each paper's countries held as integer codes.
-Assessment places every paper once in the full-corpus world order,
-splits each country's papers into domestic (single-country affiliation)
-and internationally collaborative sets, and bundles the indicators into
-one row per country and split.
+Assessment splits each country's papers into domestic (single-country
+affiliation) and internationally collaborative sets, ranks them in one
+world of every paper (`rankcore.build_paper_world`, the kernel the
+synthetic studies rank with), and bundles the indicators into one row
+per country and split.
 """
 
 from __future__ import annotations
@@ -25,12 +26,12 @@ from .base import (
 )
 from .errors import DataError, not_utf8, read_text
 from .indicators import RkResult, percentile_cutoff, rk_rows
-# The corpus ranks without `build_world` and scores its units without
-# `rk_from_rank1s`; both stay importable here because perfbench/spans.py
-# wraps `ingest.build_world` and `ingest.rk_from_rank1s` by name and fails
-# without them.
+# The corpus ranks through `build_paper_world`, not `build_world`, and
+# scores its units with `rk_rows`, not `rk_from_rank1s`; both stay
+# importable here because perfbench/spans.py wraps `ingest.build_world`
+# and `ingest.rk_from_rank1s` by name and fails without them.
 from .indicators import rk_from_rank1s  # noqa: F401
-from .rankcore import _competition_ranks, build_world  # noqa: F401
+from .rankcore import _competition_ranks, build_paper_world, build_world  # noqa: F401
 
 CORPUS_COLUMNS = ("id", "year", "citations", "countries")
 MAX_CITATIONS = 2**53
@@ -326,86 +327,6 @@ def corpus_world_ranks(corpus: Corpus, tie_policy: str = ORDINAL) -> dict[str, i
     return dict(zip(corpus.ids, corpus.world_ranks(tie_policy).tolist()))
 
 
-class _WorldOrder:
-    """A corpus in world order, with exact world ranks worked out only in
-    the tie blocks a caller reads.
-
-    One sort by citations descending gives every paper a position, 1 to
-    n.  The papers of one citation count, a tie block, hold one run of
-    positions, and under both tie policies each holds a world rank in its
-    block's run: the block's first position (`competition`), or the
-    block's positions given out in id order (`ordinal`).  So a paper alone
-    in its block ranks at its position, a rank that ends a block splits
-    every block wholly in or out, and only the blocks a caller reads into
-    are ever ordered by id.  Every rank is worked out from a whole block,
-    so the sort need not be stable: the order it leaves ties in is never
-    read.
-    """
-
-    def __init__(self, corpus: Corpus, tie_policy: str):
-        self.order = np.argsort(np.negative(corpus.citations))  # position - 1 -> paper
-        counts = corpus.citations[self.order]
-        # each block's first position, then one past the last block's end
-        self.starts = np.concatenate(
-            ([1], np.flatnonzero(counts[1:] != counts[:-1]) + 2, [len(counts) + 1])
-        )
-        self.ids = corpus.ids
-        self.ordinal = tie_policy == ORDINAL
-        self._id_places = {}
-
-    def positions(self) -> np.ndarray:
-        """Each paper's position, in row order."""
-        positions = np.empty_like(self.order)
-        positions[self.order] = np.arange(1, len(self.order) + 1)
-        return positions
-
-    def blocks(self, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The first and last position of each position's tie block."""
-        block = np.searchsorted(self.starts, positions, side="right")
-        return self.starts[block - 1], self.starts[block] - 1
-
-    def ranks(self, positions: np.ndarray) -> np.ndarray:
-        """The world ranks of the papers at `positions`."""
-        first, last = self.blocks(positions)
-        if not self.ordinal:
-            return first
-        ranks = positions.copy()
-        tied = first != last
-        for start, stop in set(zip(first[tied].tolist(), last[tied].tolist())):
-            inside = first == start
-            ranks[inside] = start + self._id_place(start, stop)[positions[inside] - start]
-        return ranks
-
-    def _id_place(self, start: int, stop: int) -> np.ndarray:
-        """The place, from 0, of each position start..stop in its block's
-        id order; each block is ordered once."""
-        places = self._id_places.get(start)
-        if places is None:
-            ids = [self.ids[paper] for paper in self.order[start - 1:stop].tolist()]
-            places = np.empty(len(ids), dtype=np.int64)
-            places[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
-            self._id_places[start] = places
-        return places
-
-    def top(self, positions: np.ndarray, k: int) -> np.ndarray:
-        """The k best world ranks of ascending `positions`, of which there
-        are at least k.  Only the blocks up to the k-th paper's are read."""
-        _, last = self.blocks(positions[k - 1:k])
-        head = positions[:np.searchsorted(positions, last[0], side="right")]
-        return np.sort(self.ranks(head))[:k]
-
-    def count(self, positions: np.ndarray, cutoff: int) -> int:
-        """How many of ascending `positions` hold a world rank <= cutoff.
-        Only a block that straddles the cutoff is read."""
-        if cutoff < 1:
-            return 0
-        (first,), (last,) = self.blocks(np.array([cutoff]))
-        before, through = np.searchsorted(positions, [first, last + 1]).tolist()
-        if cutoff == last:
-            return through
-        return before + int(np.count_nonzero(self.ranks(positions[before:through]) <= cutoff))
-
-
 def assess(
     corpus: Corpus,
     countries: list[str],
@@ -420,51 +341,50 @@ def assess(
     The world includes every paper regardless of split, so a country's
     domestic ranks still compete with everyone's collaborative papers.
     Each row counts its papers in the top 10% and in the top x% of every
-    x in `xs`.  The rows read a unit's k best world ranks and its count
-    at each cutoff rank, so under `ordinal` ids are ordered only in the
-    tie blocks holding a unit's top k and in a block a cutoff splits
-    (`_WorldOrder`); every other rank sits where the sort by citations
-    puts it, and every count stays exact.
+    x in `xs`.  Every number of a row comes from one `RankQuery` over the
+    corpus (`build_paper_world`), whose units are the country/split paper
+    lists: p; p0, p less the count at the last cited rank, since a cited
+    paper outranks every uncited one; the k best world ranks; the count at
+    each cutoff rank.  Under `ordinal` ids are ordered only in the tie
+    blocks holding a unit's top k and in a block a cutoff splits.
     """
     if tie_policy not in TIE_POLICIES:
         raise ValueError(f"tie_policy must be one of {TIE_POLICIES}")
     world_size = len(corpus)
     if not world_size:
         raise DataError("corpus holds no records")
-    world = _WorldOrder(corpus, tie_policy)
-    # One sorted key per (country, split, paper): the unit 2 * code +
-    # collaborative, then the paper's position, so each unit's positions
-    # are one ascending slice.  The keys are built and sorted in place: at
-    # a million papers each array they pass through is 10 MB.
+    # One sorted key per (country, split, paper), unit 2 * code +
+    # collaborative first, so each unit's papers are one slice.  The keys
+    # are built and sorted in place: 10 MB an array at a million papers.
     paper, collaborative = corpus.incidence()
-    stride = world_size + 1
-    keys = world.positions()[paper]
-    keys += (2 * corpus.indices + collaborative) * stride
+    keys = (2 * corpus.indices + collaborative) * world_size
+    keys += paper
     keys.sort()
-    # Under both tie policies a cited paper holds a position and a world
-    # rank <= cited and an uncited one both > cited, so p0 counts
-    # positions > cited.
-    cited = int(np.count_nonzero(corpus.citations))
-    cutoffs = {x: percentile_cutoff(x, world_size) for x in (10.0, *xs)}
+    kinds = (DOMESTIC, COLLABORATIVE)
+    labels = [f"{country}:{kind}" for country in corpus.countries for kind in kinds]
+    indptr = np.searchsorted(keys, np.arange(len(labels) + 1) * world_size)
+    keys %= world_size
+    world = build_paper_world(corpus.citations, corpus.ids, labels, indptr, keys, tie_policy)
     units = []
     for country in countries:
-        code = corpus.code(country)
-        for unit, kind in enumerate((DOMESTIC, COLLABORATIVE), start=2 * code):
-            lo, hi = np.searchsorted(keys, [unit * stride, (unit + 1) * stride]).tolist()
-            units.append((country, kind, keys[lo:hi] - unit * stride))
-    # the Rk of every unit of at least k papers, in one row-wise pass
-    tops = [world.top(positions, k) for _, _, positions in units if positions.size >= k]
-    rks = iter(rk_rows(np.array(tops), offset=offset, scale=scale).tolist() if tops else ())
-    tops = iter(tops)
+        corpus.code(country)  # refuses a country no paper lists
+        units.extend((country, kind, f"{country}:{kind}") for kind in kinds)
+    cited = int(np.count_nonzero(corpus.citations))
+    cutoffs = {x: percentile_cutoff(x, world_size) for x in (10.0, *xs)}
+    # the Rk of every unit of at least k papers, in one query and one row-wise pass
+    full = [label for _, _, label in units if world.unit_values(label).size >= k]
+    tops, rks = [], []
+    if full:
+        ranks = world.top_rank1s_many(full, k)
+        tops, rks = ranks.tolist(), rk_rows(ranks, offset=offset, scale=scale).tolist()
+    tops, rks = iter(tops), iter(rks)
     rows = []
-    for country, kind, positions in units:
-        p = positions.size
-        top_counts = {x: world.count(positions, cutoff) for x, cutoff in cutoffs.items()}
+    for country, kind, label in units:
+        p = world.unit_values(label).size
+        top_counts = {x: world.count(label, cutoff) for x, cutoff in cutoffs.items()}
         if p >= k:
-            rk = RkResult(
-                label=f"{country}:{kind}", rk=next(rks),
-                k=k, offset=offset, scale=scale, rank1s=tuple(next(tops).tolist()),
-            )
+            rk = RkResult(label=label, rk=next(rks), k=k, offset=offset, scale=scale,
+                          rank1s=tuple(next(tops)))
             status = RK_OK
         else:
             rk, status = None, RK_INSUFFICIENT
@@ -474,7 +394,7 @@ def assess(
                 country=country,
                 split=kind,
                 p=p,
-                p0=p - int(np.searchsorted(positions, cited, side="right")),
+                p0=p - world.count(label, cited),
                 ptop10=ptop10,
                 ptop10_over_p=(ptop10 / p) if p else None,
                 rk=rk,

@@ -2,10 +2,14 @@
 
 Every paper gets two ranks: its position in the aggregated, citation-
 descending world list (rank1) and its position within its own unit's
-list (rank2).  `build_world` holds a world as one sorted value array, a
-`RankQuery`, which answers the global ranks of a unit's best papers and
-the value at any world rank; the full dual-rank table of a unit is its
-top-n query.  A world is built once and then shared read-only.
+list (rank2).  One kernel, `RankQuery`, holds a world as its values
+sorted once and its units as lists of entries.  It answers the global
+ranks of a unit's best papers, how many of a unit's papers rank at or
+above a cutoff, and the value at any world rank.  `build_world` makes a
+series world (ties rank by label, then position); `build_paper_world` a
+world of papers in overlapping units (ties rank by id), as a corpus
+assessment needs.  The full dual-rank table of a unit is its top-n
+query.  A world is built once and then shared read-only.
 """
 
 from __future__ import annotations
@@ -16,8 +20,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-# COMPETITION is unused here but stays importable beside the other tie names
-from .base import COMPETITION, ORDINAL, TIE_POLICIES  # noqa: F401
+from .base import COMPETITION, ORDINAL, TIE_POLICIES
 from .errors import DataError
 
 if TYPE_CHECKING:
@@ -67,36 +70,49 @@ def _competition_ranks(sorted_desc: np.ndarray) -> np.ndarray:
 
 
 class RankQuery:
-    """Rank queries against a world held as one sorted value array.
+    """Rank queries against one world, its values sorted once.
 
-    Answers the two questions the indicators ask of a world: the global
-    ranks of a unit's k locally best papers, and the value at a world
-    rank.  The world order is a total order independent of the input
-    series order: value descending, then label, then position within
-    the series.  Under the ordinal policy ranks are 1..W in that order;
-    under the competition policy tied values share their block's
-    smallest rank.  A query selects each unit's top k into one matrix,
-    then counts the world entries above each of them in the sorted values.
-    Under the ordinal policy a unit whose top values tie another world
-    entry reads its ranks from that order itself: one stable sort of the
-    label-ordered values, descending.
+    Each entry of a world holds a value, and each unit is a list of
+    entries: a series world's units are its series, one run of entries
+    each in label order; a corpus world's units are lists of papers, which
+    may overlap.  The world order is value descending, then a tie key: the
+    entry order (label, then position) or each entry's id.  Ordinal ranks
+    are 1..W in that order.  Competition ranks give tied values their
+    block's smallest rank, 1 plus the count of larger values, which
+    `searchsorted` reads and which is also the ordinal rank of an entry
+    alone in its block.  Ordinal ranks inside tie blocks are worked out
+    only for the blocks a query reads, each block ordered once and kept.
     """
 
-    def __init__(self, series: list[CitationSeries], tie_policy: str = ORDINAL):
+    def __init__(self, labels, units, tie_policy: str = ORDINAL, *, values=None, entries=None,
+                 ids=None):
+        """`units` holds each label's values: without `values`, the world
+        itself, one run each; else unit i is `entries[indptr[i]:indptr[i + 1]]`
+        of `values`, indptr over the unit sizes, tie-broken by `ids[entry]`."""
         if tie_policy not in TIE_POLICIES:
             raise ValueError(f"tie_policy must be one of {TIE_POLICIES}")
-        self._series = {s.label: s for s in series}
-        if len(self._series) != len(series):
-            seen, dups = set(), set()
-            for s in series:
-                (dups if s.label in seen else seen).add(s.label)
-            raise DataError(f"duplicate series labels: {sorted(dups)}")
-        if not any(s.n for s in series):
-            raise ValueError("cannot build a world from all-empty series")
         self.tie_policy = tie_policy
-        self.labels = tuple(sorted(self._series))
-        self._asc = np.concatenate([self._series[label].values for label in self.labels])
-        self._asc.sort()
+        self.labels = tuple(labels)
+        self._rows = {label: row for row, label in enumerate(self.labels)}
+        if len(self._rows) != len(self.labels):
+            dups = sorted({label for label in self.labels if self.labels.count(label) > 1})
+            raise DataError(f"duplicate series labels: {dups}")
+        self._units = list(units)
+        self._indptr = np.cumsum([0, *(unit.size for unit in self._units)])
+        self._entries, self._ids, self._ordinal = entries, ids, None
+        if values is None:
+            if not self._indptr[-1]:
+                raise ValueError("cannot build a world from all-empty series")
+            self._asc = np.concatenate(self._units)
+            self._asc.sort()
+        else:
+            self._values = values
+            self._asc = np.sort(values)
+
+    @cached_property
+    def _values(self) -> np.ndarray:
+        """Every entry's value; a series world joins its units on first use."""
+        return np.concatenate(self._units)
 
     @property
     def size(self) -> int:
@@ -108,14 +124,17 @@ class RankQuery:
             raise ValueError(f"rank {rank} outside 1..{self.size}")
         return float(self._asc[self.size - rank])
 
-    def unit_values(self, label: str) -> np.ndarray:
-        """The unit's values as given, read-only."""
+    def _row(self, label) -> int:
         try:
-            return self._series[label].values
+            return self._rows[label]
         except KeyError:
             raise DataError(f"unknown series label {label!r}") from None
 
-    def top_rank1s(self, label: str, k: int) -> np.ndarray:
+    def unit_values(self, label) -> np.ndarray:
+        """The unit's values as given, read-only."""
+        return self._units[self._row(label)]
+
+    def top_rank1s(self, label, k: int) -> np.ndarray:
         """Global ranks of the unit's k locally best papers, local order:
         the one-row case of `top_rank1s_many`."""
         return self.top_rank1s_many([label], k)[0]
@@ -125,44 +144,105 @@ class RankQuery:
         int64 matrix, one row per label in local order.  The first label
         naming no unit or a unit of fewer than k papers is refused."""
         _check_k(k)
-        labels = list(labels)
-        units = []
+        rows = []
         for label in labels:
-            unit = self.unit_values(label)
-            if unit.size < k:
-                raise DataError(f"unit {label} has {unit.size} papers, {k} required")
-            units.append(unit)
-        # Each unit's k largest values, descending.  A unit's equal values
-        # hold consecutive world ranks, whichever member comes first.
-        values = np.empty((len(units), k))
-        for row, unit in zip(values, units):
-            row[:] = np.partition(unit, unit.size - k)[unit.size - k:]
+            row = self._row(label)
+            size = self._units[row].size
+            if size < k:
+                raise DataError(f"unit {label} has {size} papers, {k} required")
+            rows.append(row)
+        # each unit's k largest values, descending
+        values = np.empty((len(rows), k), dtype=self._asc.dtype)
+        for out, row in zip(values, rows):
+            unit = self._units[row]
+            out[:] = np.partition(unit, unit.size - k)[unit.size - k:]
         values.sort(axis=1)
         values = values[:, ::-1]
         right = np.searchsorted(self._asc, values, side="right")
         rank1 = self.size - right + 1  # competition: 1 + entries strictly above
         if self.tie_policy == ORDINAL:
             left = np.searchsorted(self._asc, values, side="left")
-            for row in np.flatnonzero(np.any(right - left > 1, axis=1)).tolist():
-                rank1[row] = self._ordinal_ranks[labels[row]][:k]
+            tied = np.flatnonzero(np.any(right - left > 1, axis=1))
+            if tied.size:
+                rank1[tied] = self._best_ranks([rows[i] for i in tied], values[tied, -1], k)
         return rank1
 
-    @cached_property
-    def _ordinal_ranks(self) -> dict[str, np.ndarray]:
-        """Each unit's ordinal world ranks, ascending.  Built on the first
-        ordinal query that meets a tie: a stable sort of the label-ordered
-        values, descending, is the (value descending, label, position)
-        world order."""
-        values = np.concatenate([self._series[label].values for label in self.labels])
-        ranks = np.empty(values.size, dtype=np.int64)
-        ranks[np.argsort(-values, kind="stable")] = np.arange(1, values.size + 1)
-        ends = np.cumsum([self._series[label].n for label in self.labels])
-        return {label: np.sort(unit) for label, unit in zip(self.labels, np.split(ranks, ends[:-1]))}
+    def count(self, label, cutoff: int) -> int:
+        """How many of the unit's entries hold a world rank <= `cutoff`:
+        those valued at least the value at that rank, less, where an
+        ordinal cutoff splits that value's tie block, the block members
+        ranked after it."""
+        row = self._row(label)
+        unit = self._units[row]
+        if cutoff < 1:
+            return 0
+        value = self._asc[max(self.size - cutoff, 0)]
+        ends_block = np.searchsorted(self._asc, value) == self.size - cutoff
+        if self.tie_policy == COMPETITION or ends_block:
+            return int(np.count_nonzero(unit >= value))
+        ranks = self._tied_ranks(self._unit_entries(row)[unit == value])
+        return int(np.count_nonzero(unit > value)) + int(np.count_nonzero(ranks <= cutoff))
+
+    def _unit_entries(self, row: int) -> np.ndarray:
+        lo, hi = self._indptr[row], self._indptr[row + 1]
+        return np.arange(lo, hi) if self._entries is None else self._entries[lo:hi]
+
+    def _best_ranks(self, rows: list[int], floors: np.ndarray, k: int) -> np.ndarray:
+        """The k best ordinal ranks of each unit in `rows`, read from its
+        entries valued at least its floor, the k-th best value."""
+        heads = [self._unit_entries(row)[self._units[row] >= floor]
+                 for row, floor in zip(rows, floors)]
+        entries = np.concatenate(heads)
+        values = self._values[entries]
+        right = np.searchsorted(self._asc, values, side="right")
+        ranks = self.size + 1 - right
+        tied = right - np.searchsorted(self._asc, values, side="left") > 1
+        ranks[tied] = self._tied_ranks(entries[tied])
+        # one sorted key per entry read, (row, rank): each row's k best first
+        sizes = np.array([head.size for head in heads])
+        stride = self.size + 1
+        keys = np.repeat(np.arange(len(heads)) * stride, sizes) + ranks
+        keys.sort()
+        return keys[(np.cumsum(sizes) - sizes)[:, None] + np.arange(k)] % stride
+
+    def _tied_ranks(self, entries: np.ndarray) -> np.ndarray:
+        """The ordinal world ranks of `entries`, each in a tie block.  The
+        blocks not ordered yet are found in one pass over the values, each
+        is put in tie-key order, and their ranks are kept."""
+        if self._ordinal is None:
+            self._ordinal = np.zeros(self.size, dtype=np.int64)
+        ranks = self._ordinal[entries]
+        unordered = ranks == 0
+        if not unordered.any():
+            return ranks
+        members = np.flatnonzero(np.isin(self._values, self._values[entries[unordered]]))
+        if self._ids is not None:
+            members = np.array(sorted(members.tolist(), key=self._ids.__getitem__), dtype=np.int64)
+        values = self._values[members]
+        order = np.argsort(-values, kind="stable")  # blocks descending, each in tie-key order
+        members, values = members[order], values[order]
+        starts = np.flatnonzero(np.r_[True, values[1:] != values[:-1]])
+        place = np.arange(members.size) - np.repeat(starts, np.diff(np.r_[starts, members.size]))
+        first = self.size + 1 - np.searchsorted(self._asc, values, side="right")
+        self._ordinal[members] = first + place
+        return self._ordinal[entries]
 
 
 def build_world(series: list[CitationSeries], tie_policy: str = ORDINAL) -> RankQuery:
-    """Aggregate series into one citation-descending world."""
-    return RankQuery(series, tie_policy=tie_policy)
+    """Aggregate series into one value-descending world; tied values rank
+    by label, then position in the series."""
+    series = sorted(series, key=lambda s: s.label)
+    return RankQuery([s.label for s in series], [s.values for s in series], tie_policy)
+
+
+def build_paper_world(values, ids, labels, indptr, entries, tie_policy: str = ORDINAL) -> RankQuery:
+    """A world of papers, `values[i]` the citations of paper i, whose units
+    are lists of papers: unit i is `entries[indptr[i]:indptr[i + 1]]`, and
+    a paper may sit in several.  Tied values rank by `ids[i]`."""
+    gathered = values[entries]
+    gathered.flags.writeable = False
+    units = np.split(gathered, indptr[1:-1])
+    return RankQuery(labels, units, tie_policy, values=values, entries=entries, ids=ids)
 
 
 def _check_k(k: int) -> None:

@@ -491,7 +491,7 @@ def test_importing_the_cli_leaves_numpy_random_unloaded():
 # Run in one fresh process: which modules the package, the parser and a
 # study command load.  It prints the fig3 paths, then one JSON line.
 MODULE_SETS = """
-import json, sys
+import sys
 HEAVY = ("numpy", *(f"rankmetrics.{name}" for name in
          ("synthdist", "rankcore", "indicators", "ingest", "experiments", "table")))
 
@@ -503,16 +503,19 @@ package = loaded(*HEAVY)
 from rankmetrics import cli
 cli.build_parser()
 parser = loaded(*HEAVY)
+stdlib = loaded("hashlib", "json")
 code = cli.main(["fig3", "--config", sys.argv[1], "--out", sys.argv[2]])
-print(json.dumps([package, parser, code, loaded("rankmetrics.experiments", "rankmetrics.ingest", "csv")]))
+study = loaded("rankmetrics.experiments", "rankmetrics.ingest", "csv")
+import json
+print(json.dumps([package, parser, stdlib, code, study]))
 """
 
 
 def test_the_parser_loads_no_numpy_and_a_study_no_corpus_loader(tmp_path):
     result = subprocess.run([sys.executable, "-c", MODULE_SETS, SMALL_GRID, str(tmp_path)],
                             env=python_env(), capture_output=True, text=True, check=True)
-    package, parser, code, study = json.loads(result.stdout.splitlines()[-1])
-    assert (package, parser) == ([], [])
+    package, parser, stdlib, code, study = json.loads(result.stdout.splitlines()[-1])
+    assert (package, parser, stdlib) == ([], [], [])
     assert (code, study) == (0, ["rankmetrics.experiments"])
 
 

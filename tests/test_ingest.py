@@ -554,6 +554,30 @@ def test_a_top_k_and_cutoffs_inside_one_large_tied_block(tmp_path, tie_policy):
         assert (usa.top_counts[10.0], usa.top_counts[50.0]) == (23, 23)
 
 
+@pytest.mark.parametrize("tie_policy", ["ordinal", "competition"])
+def test_counts_near_two_to_the_53_rank_exactly(tmp_path, tie_policy):
+    # The loader's largest counts, a step of 1 apart: tie blocks of 2**53
+    # (ranks 1-2), 2**53 - 1 (3-5) and 2**53 - 2 (6-9), which the 20% and
+    # 40% cutoffs split and the 10% and 25% cutoffs end, and in which each
+    # unit's top 4 lie.  Ids run against file order.
+    big = MAX_CITATIONS
+    citations = [big] * 2 + [big - 1] * 3 + [big - 2] * 4 + [2**52, 7, 7, 5, 5, 1, 1, 0, 0, 0, 0, 0]
+    owners = (["USA"], ["CHN"], ["USA", "CHN"], ["CHN", "USA"])
+    papers = [(f"p{99 - i:03d}", c, owners[i % 4]) for i, c in enumerate(citations)]
+    corpus = load_rows(tmp_path, papers)
+    assert corpus.citations.tolist() == citations
+    ranks = corpus.world_ranks(tie_policy)
+    xs = (20.0, 25.0, 40.0)
+    rows = assess(corpus, ["USA", "CHN"], k=4, tie_policy=tie_policy, xs=xs)
+    for row in rows:
+        mine = sorted(ranks[i] for i, (_, _, names) in enumerate(papers)
+                      if row.country in names and (len(names) == 1) == (row.split == DOMESTIC))
+        assert row.rk.rank1s == tuple(mine[:4])
+        assert row.top_counts == {x: sum(r <= math.floor(x / 5) for r in mine) for x in (10.0, *xs)}
+        assert row.p0 == sum(citations[i] == 0 for i, (_, _, names) in enumerate(papers)
+                             if row.country in names and (len(names) == 1) == (row.split == DOMESTIC))
+
+
 def test_numeric_cells_load_as_int_reads_them(tmp_path):
     # underscores, a sign, surrounding spaces and non-ASCII digits are
     # all numbers to int(), so the rows load, with no row errors

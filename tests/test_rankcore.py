@@ -1,6 +1,7 @@
 import io
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from rankmetrics.rankcore import (
     RankPair,
     RankQuery,
     TopKRanks,
+    _competition_ranks,
     build_world,
     dual_ranks,
     geometric_mean,
@@ -29,10 +31,12 @@ from rankmetrics.synthdist import (
     CitationSeries,
     EnsembleConfig,
     generate_ensemble,
+    load_config,
 )
 from rankmetrics.table import write_table
 
 GM_FACTORIAL_10 = math.factorial(10) ** 0.1
+SMALL_GRID = Path(__file__).resolve().parents[1] / "configs" / "small_grid.cfg"
 
 
 def series(label, values, origin=REAL):
@@ -383,3 +387,43 @@ def test_many_label_query_matches_one_label_queries_and_oracle(world, tie_policy
     with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
         index.top_rank1s_many(labels, k)
     assert index.top_rank1s_many([], 1).shape == (0, 1)
+
+
+def stable_sort_ranks(parts, tie_policy):
+    """label -> the unit's world ranks, ascending.  One stable sort of the
+    label-ordered values, descending, is the (value descending, label,
+    position) world order: the ordinal ranks are positions in it, and the
+    competition ranks each value block's first position."""
+    parts = sorted(parts, key=lambda p: p.label)
+    values = np.concatenate([p.values for p in parts])
+    order = np.argsort(-values, kind="stable")
+    ranks = np.empty(values.size, dtype=np.int64)
+    if tie_policy == ORDINAL:
+        ranks[order] = np.arange(1, values.size + 1)
+    else:
+        ranks[order] = _competition_ranks(values[order])
+    ends = np.cumsum([p.n for p in parts])[:-1]
+    return {p.label: np.sort(unit) for p, unit in zip(parts, np.split(ranks, ends))}
+
+
+@pytest.mark.parametrize("tie_policy", [ORDINAL, COMPETITION])
+def test_heavy_ties_at_scale_match_one_stable_sort(tie_policy):
+    # small_grid floored to integers: 46,200 values in a few hundred tie
+    # blocks, so a query reads many blocks at once, and every cutoff splits one
+    ensemble = generate_ensemble(load_config(SMALL_GRID))
+    parts = [series(s.label, np.floor(s.values)) for s in ensemble.series]
+    labels = [p.label for p in parts]
+    expected = stable_sort_ranks(parts, tie_policy)
+    assert np.unique(np.concatenate([p.values for p in parts])).size < 1000
+    # each world meets its tie blocks first through a different query
+    counted = build_world(parts, tie_policy=tie_policy)
+    for label in labels:
+        for x in (10.0, 1.0, 0.1):
+            cutoff = percentile_cutoff(x, counted.size)
+            want = int(np.count_nonzero(expected[label] <= cutoff))
+            assert empirical_ptop(counted, label, x).value == want
+    many = build_world(parts, tie_policy=tie_policy)
+    assert many.top_rank1s_many(labels, 10).tolist() == [expected[label][:10].tolist() for label in labels]
+    full = build_world(parts, tie_policy=tie_policy)
+    for part in parts:
+        assert full.top_rank1s(part.label, part.n).tolist() == expected[part.label].tolist()
