@@ -41,18 +41,30 @@ def config_hash(parameters: dict) -> str:
     return hashlib.sha256(canonical_json(parameters).encode()).hexdigest()[:12]
 
 
+def file_sha256(path) -> str:
+    """The sha256 hex digest of a file's bytes, read in 1 MiB chunks."""
+    import hashlib
+
+    digest = hashlib.sha256()
+    with open(path, "rb") as handle:
+        for chunk in iter(lambda: handle.read(1 << 20), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
 @contextmanager
-def atomic_open(path):
-    """A text file whose contents replace `path` only when the block exits
-    cleanly: it is written as a temp file beside `path`, then renamed, so
-    readers never see a partial file and a failure leaves none."""
+def atomic_open(path, mode: str = "w"):
+    """A file, text unless `mode` is "wb", whose contents replace `path`
+    only when the block exits cleanly: it is written as a temp file beside
+    `path`, then renamed, so readers never see a partial file and a
+    failure leaves none."""
     import tempfile
 
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
     try:
-        with os.fdopen(fd, "w") as handle:
+        with os.fdopen(fd, mode) as handle:
             yield handle
         os.replace(tmp, path)
     except BaseException:

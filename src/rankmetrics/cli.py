@@ -14,15 +14,17 @@ import math
 import os
 import sys
 import warnings
-from typing import TYPE_CHECKING
 
 from . import __version__
 from .base import (
     COLLABORATIVE, DEFAULT_K, DEFAULT_OFFSET, DEFAULT_SCALE, DOMESTIC, FORMATS, ORDINAL,
-    TIE_POLICIES, atomic_open, atomic_write_text, config_hash,
+    TIE_POLICIES, atomic_open, atomic_write_text, config_hash, file_sha256,
 )
 from .errors import DataError, read_text
 
+# True only to a type checker, which reads the name alone: importing
+# `typing` for it would cost `--help` its import
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     from . import experiments, ingest, synthdist
 
@@ -405,16 +407,6 @@ def cmd_study(args) -> int:
     source = config if args.command == "fig4" else synthdist.generate_ensemble(config)
     flags = {name: getattr(args, name) for name in STUDY_FLAGS if hasattr(args, name)}
     return emit(getattr(experiments, args.study)(source, **flags), args)
-
-
-def file_sha256(path) -> str:
-    import hashlib
-
-    digest = hashlib.sha256()
-    with open(path, "rb") as handle:
-        for chunk in iter(lambda: handle.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
 
 
 def corpus_parameters(args, **extra) -> dict:

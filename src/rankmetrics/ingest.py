@@ -4,7 +4,9 @@ The corpus is a CSV export from any citation database: one row per
 paper with its citation count already aggregated over the intended
 citation window.  Window logic therefore lives in the sidecar metadata
 and is validated, not computed.  The loader parses the rows into
-columns (`Corpus`), with each paper's countries held as integer codes.
+columns (`Corpus`), with each paper's countries held as integer codes,
+and keeps the parse in a hidden cache file beside the input, keyed by
+the input's bytes, so a later load of the same bytes skips the parse.
 Assessment splits each country's papers into domestic (single-country
 affiliation) and internationally collaborative sets, ranks them in one
 world of every paper (`rankcore.build_paper_world`, the kernel the
@@ -16,6 +18,9 @@ from __future__ import annotations
 
 import csv
 import json
+import os
+import stat
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -23,6 +28,7 @@ import numpy as np
 
 from .base import (
     COLLABORATIVE, DEFAULT_K, DEFAULT_OFFSET, DEFAULT_SCALE, DOMESTIC, ORDINAL, TIE_POLICIES,
+    atomic_open, file_sha256,
 )
 from .errors import DataError, not_utf8, read_text
 from .indicators import RkResult, percentile_cutoff, rk_rows
@@ -39,6 +45,13 @@ WINDOW_DISPLACEMENT_YEARS = 5
 
 RK_OK = "ok"
 RK_INSUFFICIENT = "insufficient_papers"
+
+# The parse cache of `dir/name` is `dir/.name` + CACHE_SUFFIX.  Bump
+# LOADER_VERSION with any change to what `_read_corpus` returns for given
+# bytes (its checks, their order or their messages, or `_first_line`), so
+# no cache written before the change is read after it.
+CACHE_SUFFIX = ".rankmetrics-cache.npz"
+LOADER_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -214,16 +227,144 @@ def load_corpus(path, meta: CorpusMeta | None = None) -> CorpusLoadResult:
     trailing ``field`` column; countries are semicolon-separated codes.
     Each year is checked against the publication window, and neither the
     year nor the field is kept.  Only an unusable header aborts the load.
+
+    A regular file's result, rejected rows included, is cached beside it
+    (`cache_path`) under a key of its sha256, the publication window and
+    the loader version (`_cache_key`); a load whose key matches the cache
+    reads the result from it instead of parsing.  A cache that cannot be
+    read or written is passed over without a word.
     """
+    window = meta.pub_window if meta is not None else None
+    try:
+        before = os.stat(path)
+        # the cache is trusted by its owner, which POSIX alone reports
+        cacheable = stat.S_ISREG(before.st_mode) and hasattr(os, "getuid")
+        key = _cache_key(path, window) if cacheable else None
+    except OSError:  # the parse reports it
+        key = None
+    if key is not None:
+        cached = _read_cache(cache_path(path), key)
+        if cached is not None:
+            return cached
     # utf-8-sig drops the byte-order mark spreadsheet exports put first
     try:
         with open(path, newline="", encoding="utf-8-sig") as handle:
             reader = csv.reader(handle)
-            return _read_corpus(reader, path, meta)
+            result = _read_corpus(reader, path, meta)
     except UnicodeDecodeError as exc:
         raise DataError(not_utf8(path, exc)) from None
     except csv.Error as exc:
         raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
+    if key is not None and _same_file(path, before):
+        _write_cache(cache_path(path), key, result)
+    return result
+
+
+def cache_path(path) -> str:
+    """The hidden file beside a corpus that holds its cached parse."""
+    directory, name = os.path.split(os.fspath(path))
+    return os.path.join(directory, f".{name}{CACHE_SUFFIX}")
+
+
+def _cache_key(path, window) -> str:
+    """What a parse depends on besides the code: the input's bytes, the
+    publication window, and the interpreter's own limits on a cell."""
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # int()'s limit, Python >= 3.10.7
+    return json.dumps([LOADER_VERSION, sys.hexversion, digits, csv.field_size_limit(),
+                       window and list(window), file_sha256(path)])
+
+
+def _same_file(path, before: os.stat_result) -> bool:
+    """Whether `path` still has the size and mtime it had when hashed."""
+    try:
+        after = os.stat(path)
+    except OSError:
+        return False
+    return (after.st_size, after.st_mtime_ns) == (before.st_size, before.st_mtime_ns)
+
+
+def _pack(strings: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Non-empty strings as the UTF-8 bytes of their newline-joined text;
+    when one of them holds a newline, of their plain concatenation instead,
+    with the end of each in it."""
+    text, ends = "\n".join(strings), np.empty(0, dtype=np.int64)
+    if text.count("\n") != max(len(strings) - 1, 0):
+        text, ends = "".join(strings), np.cumsum([len(s) for s in strings], dtype=np.int64)
+    return np.frombuffer(text.encode(), dtype=np.uint8), ends
+
+
+def _unpack(blob: np.ndarray, ends: np.ndarray) -> list[str]:
+    """The strings `_pack` packed.  Raises `ValueError` where ends and text disagree."""
+    text = blob.tobytes().decode()  # UnicodeDecodeError is a ValueError
+    if not ends.size:
+        return text.split("\n") if text else []
+    bounds = ends.tolist()
+    if bounds[-1] != len(text) or any(b < a for a, b in zip([0, *bounds], bounds)):
+        raise ValueError("string ends do not fit the text")
+    return [text[a:b] for a, b in zip([0, *bounds], bounds)]
+
+
+# every array of a cache file but its key, a 0-d unicode array, with its
+# dtype; `text` packs the ids, then the row errors' messages, then the
+# country names
+CACHE_ARRAYS = {"citations": np.int64, "indptr": np.int64, "indices": np.int64,
+                "error_lines": np.int64, "text": np.uint8, "text_ends": np.int64}
+
+
+def _write_cache(cache: str, key: str, result: CorpusLoadResult) -> None:
+    corpus, errors = result.records, result.errors
+    arrays = {"key": np.array(key), "citations": corpus.citations, "indptr": corpus.indptr,
+              "indices": corpus.indices,
+              "error_lines": np.array([e.line for e in errors], dtype=np.int64)}
+    arrays["text"], arrays["text_ends"] = _pack(
+        [*corpus.ids, *(e.message for e in errors), *corpus.countries])
+    try:
+        with atomic_open(cache, "wb") as handle:
+            np.savez(handle, **arrays)
+    except OSError:  # an unwritable directory, a full disk: the next load parses again
+        pass
+
+
+def _read_cache(cache: str, key: str) -> CorpusLoadResult | None:
+    """The result a cache file holds, or None unless it is a regular file
+    of this user's whose key is `key` and whose arrays are consistent."""
+    try:
+        fd = os.open(cache, os.O_RDONLY | os.O_NOFOLLOW)
+    except OSError:
+        return None
+    with os.fdopen(fd, "rb") as handle:
+        info = os.fstat(fd)
+        if not stat.S_ISREG(info.st_mode) or info.st_uid != os.getuid():
+            return None
+        try:
+            with np.load(handle, allow_pickle=False) as data:
+                if set(data.files) != {"key", *CACHE_ARRAYS} or str(data["key"]) != key:
+                    return None
+                arrays = {name: data[name] for name in CACHE_ARRAYS}
+        except Exception:  # a truncated, garbage or foreign file is only a miss
+            return None
+    if any(arrays[name].dtype != dtype or arrays[name].ndim != 1
+           for name, dtype in CACHE_ARRAYS.items()):
+        return None
+    try:
+        strings = _unpack(arrays["text"], arrays["text_ends"])
+    except ValueError:
+        return None
+    citations, indptr, indices, lines = (
+        arrays[name] for name in ("citations", "indptr", "indices", "error_lines"))
+    papers, rejected = citations.size, lines.size
+    countries = tuple(strings[papers + rejected:])
+    if not (
+        len(strings) >= papers + rejected
+        and indptr.size == papers + 1 and indptr[0] == 0 and indptr[-1] == indices.size
+        and np.all(np.diff(indptr) > 0) and np.all((0 <= indices) & (indices < len(countries)))
+    ):
+        return None
+    corpus = Corpus(ids=strings[:papers], citations=citations, countries=countries,
+                    indptr=indptr, indices=indices)
+    errors = [RowError(line=line, message=message)
+              for line, message in zip(lines.tolist(), strings[papers:papers + rejected])]
+    return CorpusLoadResult(records=corpus, errors=errors)
 
 
 def _read_corpus(reader, path, meta: CorpusMeta | None) -> CorpusLoadResult:
@@ -356,19 +497,23 @@ def assess(
     # One sorted key per (country, split, paper), unit 2 * code +
     # collaborative first, so each unit's papers are one slice.  The keys
     # are built and sorted in place: 10 MB an array at a million papers.
+    # Only the requested countries' keys are sorted, so the units of the
+    # others are empty; the world still holds every paper.
+    codes = {corpus.code(country) for country in countries}  # refuses a country no paper lists
     paper, collaborative = corpus.incidence()
     keys = (2 * corpus.indices + collaborative) * world_size
     keys += paper
+    if len(codes) < len(corpus.countries):
+        requested = np.zeros(len(corpus.countries), dtype=bool)
+        requested[list(codes)] = True
+        keys = keys[requested[corpus.indices]]
     keys.sort()
     kinds = (DOMESTIC, COLLABORATIVE)
     labels = [f"{country}:{kind}" for country in corpus.countries for kind in kinds]
     indptr = np.searchsorted(keys, np.arange(len(labels) + 1) * world_size)
     keys %= world_size
     world = build_paper_world(corpus.citations, corpus.ids, labels, indptr, keys, tie_policy)
-    units = []
-    for country in countries:
-        corpus.code(country)  # refuses a country no paper lists
-        units.extend((country, kind, f"{country}:{kind}") for kind in kinds)
+    units = [(country, kind, f"{country}:{kind}") for country in countries for kind in kinds]
     cited = int(np.count_nonzero(corpus.citations))
     cutoffs = {x: percentile_cutoff(x, world_size) for x in (10.0, *xs)}
     # the Rk of every unit of at least k papers, in one query and one row-wise pass

@@ -7,11 +7,15 @@
 
 For each argv the manifest holds the exit code and the sha256 of its
 stdout, of its stderr and of each file under its --out directory, by
-name.  All argvs run in one process.  The inputs (the configs, the demo
-corpus, a small seeded benchmark corpus with its planted bad rows, and a
-tied corpus whose cutoffs split tie blocks) are written into a work
-directory first, and every argv names them and its --out directory by a
-path relative to it, so two runs compare byte for byte wherever they ran.
+name.  All argvs run in one process.  Each argv that reads a corpus
+(`--input`) runs with no parse cache beside any input, and then once
+more, after a run of its own has written that cache, in an entry marked
+`"warm": true`: the two entries must be equal but for that mark.  The
+inputs (the configs, the demo corpus, a small seeded benchmark corpus
+with its planted bad rows, and a tied corpus whose cutoffs split tie
+blocks) are written into a work directory first, and every argv names
+them and its --out directory by a path relative to it, so two runs
+compare byte for byte wherever they ran.
 
 To check a change against its parent, run this file once with PYTHONPATH
 naming each tree's `src` and compare the two manifests: every entry must
@@ -56,6 +60,7 @@ POLICIES = ("ordinal", "competition")
 FORMATS = ("csv", "json")
 COMMANDS = ("gen", "rank", "rk", "ptop", "tables1", "fig1", "fig2", "fig3", "fig4", "assess")
 OUT = "{out}"  # stands for the argv's own output directory
+CACHE_SUFFIX = ".rankmetrics-cache.npz"  # of the parse cache a corpus load writes beside its input
 
 
 def _styles(argv):
@@ -196,9 +201,22 @@ def run_argv(argv: list[str]) -> dict:
             "stdout": sha256(out.getvalue().encode()), "stderr": sha256(err.getvalue().encode())}
 
 
+def run_entry(index: int, argv: list[str]) -> dict:
+    """The manifest entry of argv `index`, which writes under out/index."""
+    out = Path("out", str(index))
+    shutil.rmtree(out, ignore_errors=True)
+    entry = run_argv([token.replace(OUT, str(out)) for token in argv])
+    entry["files"] = {
+        path.relative_to(out).as_posix(): sha256(path.read_bytes())
+        for path in sorted(out.rglob("*")) if path.is_file()
+    }
+    return entry
+
+
 def run(argvs: list[list[str]], work: Path) -> list[dict]:
-    """Each argv's manifest entry, run in order from `work`; argv i writes
-    under out/i."""
+    """Each argv's manifest entry, run in order from `work`, then the warm
+    entry of each argv that reads a corpus, run after a first, unrecorded
+    run of the same argv."""
     entries = []
     here = os.getcwd()
     columns = os.environ.get("COLUMNS")
@@ -206,13 +224,14 @@ def run(argvs: list[list[str]], work: Path) -> list[dict]:
     os.chdir(work)
     try:
         for index, argv in enumerate(argvs):
-            out = Path("out", str(index))
-            entry = run_argv([token.replace(OUT, str(out)) for token in argv])
-            entry["files"] = {
-                path.relative_to(out).as_posix(): sha256(path.read_bytes())
-                for path in sorted(out.rglob("*")) if path.is_file()
-            }
-            entries.append(entry)
+            if "--input" in argv:  # cold: no parse cache anywhere
+                for cache in Path(".").rglob(".*" + CACHE_SUFFIX):
+                    cache.unlink()
+            entries.append(run_entry(index, argv))
+        for index, argv in enumerate(argvs):
+            if "--input" in argv:
+                run_entry(index, argv)
+                entries.append({**run_entry(index, argv), "warm": True})
     finally:
         os.chdir(here)
         if columns is None:

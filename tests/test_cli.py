@@ -488,8 +488,10 @@ def test_importing_the_cli_leaves_numpy_random_unloaded():
     assert result.stdout == "[]\n"
 
 
-# Run in one fresh process: which modules the package, the parser and a
-# study command load.  It prints the fig3 paths, then one JSON line.
+# Run in one fresh process, started without `site` (`python -S`), which may
+# load `typing` itself: which modules the package, the parser and a study
+# command load.  `site` is set up after the parser, for numpy.  It prints
+# the fig3 paths, then one JSON line.
 MODULE_SETS = """
 import sys
 HEAVY = ("numpy", *(f"rankmetrics.{name}" for name in
@@ -503,7 +505,9 @@ package = loaded(*HEAVY)
 from rankmetrics import cli
 cli.build_parser()
 parser = loaded(*HEAVY)
-stdlib = loaded("hashlib", "json")
+stdlib = loaded("hashlib", "json", "typing")
+import site
+site.main()
 code = cli.main(["fig3", "--config", sys.argv[1], "--out", sys.argv[2]])
 study = loaded("rankmetrics.experiments", "rankmetrics.ingest", "csv")
 import json
@@ -512,7 +516,7 @@ print(json.dumps([package, parser, stdlib, code, study]))
 
 
 def test_the_parser_loads_no_numpy_and_a_study_no_corpus_loader(tmp_path):
-    result = subprocess.run([sys.executable, "-c", MODULE_SETS, SMALL_GRID, str(tmp_path)],
+    result = subprocess.run([sys.executable, "-S", "-c", MODULE_SETS, SMALL_GRID, str(tmp_path)],
                             env=python_env(), capture_output=True, text=True, check=True)
     package, parser, stdlib, code, study = json.loads(result.stdout.splitlines()[-1])
     assert (package, parser, stdlib) == ([], [], [])

@@ -1,13 +1,19 @@
+import hashlib
+import inspect
 import io
 import math
+import os
+import zipfile
 from collections import namedtuple
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rankmetrics import ingest
 from rankmetrics.cli import main
 from rankmetrics.errors import DataError
 from rankmetrics.indicators import RkResult, count_uncited, empirical_ptop, percentile_cutoff, rk_from_rank1s
@@ -23,6 +29,7 @@ from rankmetrics.ingest import (
     assess,
     assessment_table,
     corpus_world_ranks,
+    cache_path,
     load_corpus,
     split_country,
 )
@@ -59,6 +66,22 @@ def paper_countries(corpus):
     bounds = corpus.indptr.tolist()
     names = [corpus.countries[code] for code in corpus.indices.tolist()]
     return [tuple(names[a:b]) for a, b in zip(bounds, bounds[1:])]
+
+
+def no_parse():
+    """A context in which a load that parses fails the test."""
+    return mock.patch.object(ingest, "_read_corpus", side_effect=AssertionError("parsed"))
+
+
+def assert_same_load(one, two):
+    """Every column and every row error of two load results are equal."""
+    a, b = one.records, two.records
+    assert (a.ids, a.countries) == (b.ids, b.countries)
+    for name in ("citations", "indptr", "indices"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert (x.dtype, x.shape, x.tolist()) == (np.dtype(np.int64), y.shape, y.tolist()), name
+        assert y.dtype == np.int64, name
+    assert one.errors == two.errors
 
 
 def test_load_well_formed(tmp_path):
@@ -412,7 +435,11 @@ def test_loader_and_assess_match_per_row_oracle(tmp_path_factory, rows, window, 
     header = "id,year,citations,countries" + (",field" if has_field else "")
     path.write_text("\n".join([header, *lines]) + "\n")
     meta = None if window is None else CorpusMeta(pub_window=window)
+    # cold unless an earlier example wrote the same bytes under the same
+    # window; then warm, read from the cache without a parse
     loaded = load_corpus(path, meta)
+    with no_parse():
+        assert_same_load(load_corpus(path, meta), loaded)
     records, errors = oracle_load(lines, has_field, window)
     corpus = loaded.records
     assert len(corpus) == len(records)
@@ -438,6 +465,10 @@ def test_loader_and_assess_match_per_row_oracle(tmp_path_factory, rows, window, 
         got = assess(loaded.records, countries, k=k, offset=offset, scale=scale,
                      tie_policy=tie_policy, xs=tuple(xs))
         assert got == oracle_assess(records, countries, k, offset, scale, tie_policy, xs)
+        some = countries[::-2] * 2  # a subset of the countries, in another order, each twice
+        got = assess(loaded.records, some, k=k, offset=offset, scale=scale,
+                     tie_policy=tie_policy, xs=tuple(xs))
+        assert got == oracle_assess(records, some, k, offset, scale, tie_policy, xs)
     with pytest.raises(DataError, match=r"^country 'ZZZ' does not appear in the corpus$"):
         assess(loaded.records, ["ZZZ"])
 
@@ -623,3 +654,179 @@ def test_rejected_rows_name_the_line_they_start_on(tmp_path_factory, corpus):
     path = tmp_path_factory.getbasetemp() / "multiline.csv"
     path.write_bytes(text.encode())
     assert [(e.line, e.message) for e in load_corpus(path).errors] == expected
+
+
+# The parse cache beside the input (`cache_path`): a load of the same
+# bytes and publication window reads it instead of parsing, and anything
+# else about it means a parse.
+
+CACHE_BODY = "p1,2015,12,USA\np2,2016,-1,CHN\np3,2014,3,CHN;USA\np4,2019,5,JPN\n"
+
+
+def test_a_second_load_reads_the_cache_beside_the_input(tmp_path):
+    path = write_corpus(tmp_path, CACHE_BODY)
+    cold = load_corpus(path)
+    assert sorted(os.listdir(tmp_path)) == [".corpus.csv.rankmetrics-cache.npz", "corpus.csv"]
+    assert cache_path(path) == str(tmp_path / ".corpus.csv.rankmetrics-cache.npz")
+    with no_parse():
+        assert_same_load(load_corpus(path), cold)
+    assert [(e.line, e.message) for e in cold.errors] == [(3, "negative citation count -1")]
+
+
+def test_an_input_rewritten_with_the_same_size_and_mtime_is_parsed_again(tmp_path):
+    path = write_corpus(tmp_path, CACHE_BODY)
+    load_corpus(path)
+    before = os.stat(path)
+    path.write_text(HEADER + CACHE_BODY.replace("-1", "+7").replace("p4", "q4"))
+    os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+    assert os.stat(path).st_size == before.st_size
+    loaded = load_corpus(path)
+    assert loaded.records.ids == ["p1", "p2", "p3", "q4"]
+    assert loaded.records.citations.tolist() == [12, 7, 3, 5]
+    assert loaded.errors == []
+
+
+def test_a_sidecar_with_another_window_is_parsed_again(tmp_path):
+    path = write_corpus(tmp_path, CACHE_BODY)
+    ids = {}
+    for window in (None, (2014, 2016), (2015, 2019), None, (2014, 2016)):
+        loaded = load_corpus(path, None if window is None else CorpusMeta(pub_window=window))
+        ids.setdefault(window, loaded.records.ids)
+        assert loaded.records.ids == ids[window]
+    assert ids == {None: ["p1", "p3", "p4"], (2014, 2016): ["p1", "p3"], (2015, 2019): ["p1", "p4"]}
+
+
+def test_ids_and_countries_with_nul_newline_and_non_ascii_text_survive_the_cache(tmp_path):
+    path = tmp_path / "odd.csv"
+    path.write_bytes((HEADER + 'a\x00b,2015,3,USA\n"line\nbreak",2015,2,"U\nS;日本"\n'
+                      'café,2015,1,日本\n"x\r\ny",2015,-1,USA\n').encode())
+    cold = load_corpus(path)
+    assert cold.records.ids == ["a\x00b", "line\nbreak", "café"]
+    assert cold.records.countries == ("USA", "U\nS", "日本")
+    assert [(e.line, e.message) for e in cold.errors] == [(7, "negative citation count -1")]
+    with no_parse():
+        assert_same_load(load_corpus(path), cold)
+    # one id alone, holding a newline; and a file that keeps no row
+    for body in ('"a\nb",2015,1,USA\n', "p1,2015,-1,USA\n", ""):
+        path.write_text(HEADER + body)
+        cold = load_corpus(path)
+        with no_parse():
+            assert_same_load(load_corpus(path), cold)
+
+
+def valid_cache_bytes(tmp_path):
+    path = write_corpus(tmp_path, CACHE_BODY)
+    load_corpus(path)
+    with open(cache_path(path), "rb") as handle:
+        return path, handle.read()
+
+
+def rewritten_cache(data: bytes, **changes) -> bytes:
+    """A cache file `data` with some arrays replaced or removed (None)."""
+    with np.load(io.BytesIO(data), allow_pickle=False) as cache:
+        arrays = {name: cache[name] for name in cache.files}
+    for name, value in changes.items():
+        if value is None:
+            del arrays[name]
+        else:
+            arrays[name] = value
+    out = io.BytesIO()
+    np.savez(out, **arrays)
+    return out.getvalue()
+
+
+CORRUPTIONS = {
+    "truncated": lambda data: data[: len(data) // 2],
+    "empty": lambda data: b"",
+    "garbage": lambda data: b"\x93NUMPY garbage" + bytes(range(256)) * 4,
+    "not a zip member": lambda data: data.replace(b"citations.npy", b"citatiomz.npy"),
+    "a npy file": lambda data: (lambda out: (np.save(out, np.arange(3)), out.getvalue())[1])(io.BytesIO()),
+    "a pickle": lambda data: (lambda out: (np.save(out, np.array([{}], dtype=object)), out.getvalue())[1])(
+        io.BytesIO()),
+    "a missing array": lambda data: rewritten_cache(data, text_ends=None),
+    "a short indptr": lambda data: rewritten_cache(data, indptr=np.array([0, 1, 3], dtype=np.int64)),
+    "a falling indptr": lambda data: rewritten_cache(data, indptr=np.array([0, 3, 1, 4], dtype=np.int64)),
+    "float citations": lambda data: rewritten_cache(data, citations=np.array([12.0, 3.0, 5.0])),
+    "a country code out of range": lambda data: rewritten_cache(
+        data, indices=np.array([0, 1, 0, 7], dtype=np.int64)),
+    "text cut short": lambda data: rewritten_cache(
+        data, text=np.frombuffer(b"p1\np3\np4\nnegative citation count -1\nUSA", dtype=np.uint8)),
+    "text not UTF-8": lambda data: rewritten_cache(
+        data, text=np.frombuffer(b"p1\np3\np4\n\xff\nUSA\nCHN\nJPN", dtype=np.uint8)),
+    "a row error without its message": lambda data: rewritten_cache(
+        data, citations=np.empty(0, dtype=np.int64), indptr=np.zeros(1, dtype=np.int64),
+        indices=np.empty(0, dtype=np.int64), text=np.empty(0, dtype=np.uint8),
+        text_ends=np.empty(0, dtype=np.int64)),
+    "ends past the text": lambda data: rewritten_cache(
+        data, text=np.frombuffer(b"p1p3p4USACHNJPN", dtype=np.uint8),
+        text_ends=np.array([2, 4, 6, 9, 12, 99])),
+}
+
+
+@pytest.mark.parametrize("corrupt", CORRUPTIONS.values(), ids=CORRUPTIONS)
+def test_a_broken_cache_file_means_a_parse(tmp_path, corrupt):
+    path, data = valid_cache_bytes(tmp_path)
+    expected = load_corpus(path)
+    with open(cache_path(path), "wb") as handle:
+        handle.write(corrupt(data))
+    with mock.patch.object(ingest, "_read_corpus", wraps=ingest._read_corpus) as parse:
+        assert_same_load(load_corpus(path), expected)
+    assert parse.call_count == 1
+    with no_parse():  # written again
+        assert_same_load(load_corpus(path), expected)
+
+
+def test_a_cache_file_of_another_user_or_behind_a_link_is_not_read(tmp_path, monkeypatch):
+    path, data = valid_cache_bytes(tmp_path)
+    expected = load_corpus(path)
+    uid = os.getuid()
+    monkeypatch.setattr(os, "getuid", lambda: uid + 1)
+    with mock.patch.object(ingest, "_read_corpus", wraps=ingest._read_corpus) as parse:
+        assert_same_load(load_corpus(path), expected)
+    assert parse.call_count == 1
+    monkeypatch.setattr(os, "getuid", lambda: uid)
+    target = tmp_path / "elsewhere.npz"
+    target.write_bytes(data)  # a valid cache, read only through the link
+    os.unlink(cache_path(path))
+    os.symlink(target, cache_path(path))
+    with mock.patch.object(ingest, "_read_corpus", wraps=ingest._read_corpus) as parse:
+        assert_same_load(load_corpus(path), expected)
+    assert parse.call_count == 1
+    assert not os.path.islink(cache_path(path))  # the link is replaced, its target kept
+    assert target.read_bytes() == data
+
+
+def test_a_failed_cache_write_leaves_no_file_and_no_word(tmp_path, monkeypatch, capsys):
+    def full_disk(*args, **kwargs):
+        raise OSError(28, "No space left on device")
+
+    path = write_corpus(tmp_path, CACHE_BODY)
+    monkeypatch.setattr(ingest.np, "savez", full_disk)
+    first = load_corpus(path)
+    assert os.listdir(tmp_path) == ["corpus.csv"]
+    monkeypatch.undo()
+    assert_same_load(load_corpus(path), first)
+    assert capsys.readouterr() == ("", "")
+
+
+def test_an_input_that_changes_during_the_parse_is_not_cached(tmp_path):
+    path = write_corpus(tmp_path, CACHE_BODY)
+    parse = ingest._read_corpus
+
+    def growing(*args):
+        with open(path, "a") as handle:
+            handle.write("p9,2015,1,USA\n")
+        return parse(*args)
+
+    with mock.patch.object(ingest, "_read_corpus", growing):
+        load_corpus(path)
+    assert os.listdir(tmp_path) == ["corpus.csv"]
+
+
+def test_the_loader_version_names_the_loader_source():
+    # A cache holds what `_read_corpus` returned.  When this digest changes,
+    # bump LOADER_VERSION, so no cache written before is read, then update
+    # the pair below.
+    source = "".join(inspect.getsource(f) for f in (ingest._read_corpus, ingest._first_line))
+    digest = hashlib.sha256(source.encode()).hexdigest()[:16]
+    assert (ingest.LOADER_VERSION, digest) == (1, "03eaf8eae97d718f")

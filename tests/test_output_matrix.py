@@ -1,7 +1,8 @@
 """The byte contract of `tests/output_matrix.py`, on its quick slice: the
 manifest is the same twice in one process and once in a fresh process,
 so no output depends on what an earlier command in the process loaded,
-cached or left behind."""
+cached or left behind, and a corpus command's outputs are the same with
+its parse cache cold and warm."""
 
 import importlib.util
 import json
@@ -33,7 +34,16 @@ def test_quick_slice_gives_one_manifest_in_process_and_in_a_fresh_process(tmp_pa
     subprocess.run([sys.executable, str(MATRIX), "--slice", "quick", "--out", str(out),
                     "--work", str(tmp_path / "fresh")], env=env, check=True)
     assert first == second == json.loads(out.read_text())
-    assert [entry["argv"][0] for entry in first] == [argv[0] for argv in matrix.quick()]
+    cold = [entry for entry in first if not entry.pop("warm", False)]
+    assert [entry["argv"][0] for entry in cold] == [argv[0] for argv in matrix.quick()]
     # the slice writes files, prints tables and refuses inputs
-    assert {entry["exit"] for entry in first} == {0, 1}
-    assert sum(bool(entry["files"]) for entry in first) == 2
+    assert {entry["exit"] for entry in cold} == {0, 1}
+    assert sum(bool(entry["files"]) for entry in cold) == 2
+    # a corpus command reads its parse cache to the same bytes, and writes
+    # it beside its input, never into --out
+    warm = first[len(cold):]
+    assert warm == [entry for entry in cold if "--input" in entry["argv"]]
+    assert len(warm) == 8
+    assert not [name for entry in first for name in entry["files"] if matrix.CACHE_SUFFIX in name]
+    caches = sorted(path.name for path in (tmp_path / "first").rglob("*" + matrix.CACHE_SUFFIX))
+    assert caches == [".corpus.csv" + matrix.CACHE_SUFFIX, ".tied.csv" + matrix.CACHE_SUFFIX]
