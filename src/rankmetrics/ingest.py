@@ -228,17 +228,20 @@ def load_corpus(path, meta: CorpusMeta | None = None) -> CorpusLoadResult:
     Each year is checked against the publication window, and neither the
     year nor the field is kept.  Only an unusable header aborts the load.
 
-    A regular file's result, rejected rows included, is cached beside it
-    (`cache_path`) under a key of its sha256, the publication window and
-    the loader version (`_cache_key`); a load whose key matches the cache
-    reads the result from it instead of parsing.  A cache that cannot be
-    read or written is passed over without a word.
+    The result of a regular file named without a symbolic link, rejected
+    rows included, is cached beside it (`cache_path`) under a key of its
+    sha256, the publication window and the loader version (`_cache_key`);
+    a load whose key matches the cache reads the result from it instead
+    of parsing.  A cache that cannot be read or written is passed over
+    without a word.
     """
     window = meta.pub_window if meta is not None else None
     try:
         before = os.stat(path)
-        # the cache is trusted by its owner, which POSIX alone reports
-        cacheable = stat.S_ISREG(before.st_mode) and hasattr(os, "getuid")
+        # the cache is trusted by its owner, which POSIX alone reports; a
+        # link such as /dev/stdin would put the cache in the link's directory
+        cacheable = (stat.S_ISREG(before.st_mode) and hasattr(os, "getuid")
+                     and os.path.realpath(path) == os.path.abspath(path))
         key = _cache_key(path, window) if cacheable else None
     except OSError:  # the parse reports it
         key = None
@@ -283,41 +286,26 @@ def _same_file(path, before: os.stat_result) -> bool:
     return (after.st_size, after.st_mtime_ns) == (before.st_size, before.st_mtime_ns)
 
 
-def _pack(strings: list[str]) -> tuple[np.ndarray, np.ndarray]:
-    """Non-empty strings as the UTF-8 bytes of their newline-joined text;
-    when one of them holds a newline, of their plain concatenation instead,
-    with the end of each in it."""
-    text, ends = "\n".join(strings), np.empty(0, dtype=np.int64)
-    if text.count("\n") != max(len(strings) - 1, 0):
-        text, ends = "".join(strings), np.cumsum([len(s) for s in strings], dtype=np.int64)
-    return np.frombuffer(text.encode(), dtype=np.uint8), ends
-
-
-def _unpack(blob: np.ndarray, ends: np.ndarray) -> list[str]:
-    """The strings `_pack` packed.  Raises `ValueError` where ends and text disagree."""
-    text = blob.tobytes().decode()  # UnicodeDecodeError is a ValueError
-    if not ends.size:
-        return text.split("\n") if text else []
-    bounds = ends.tolist()
-    if bounds[-1] != len(text) or any(b < a for a, b in zip([0, *bounds], bounds)):
-        raise ValueError("string ends do not fit the text")
-    return [text[a:b] for a, b in zip([0, *bounds], bounds)]
-
-
 # every array of a cache file but its key, a 0-d unicode array, with its
-# dtype; `text` packs the ids, then the row errors' messages, then the
-# country names
-CACHE_ARRAYS = {"citations": np.int64, "indptr": np.int64, "indices": np.int64,
-                "error_lines": np.int64, "text": np.uint8, "text_ends": np.int64}
+# dtype; `text` is the UTF-8 bytes of the ids, then the row errors'
+# messages, then the country names, joined by newlines
+CACHE_ARRAYS = {"citations": np.int64, "indptr": np.int32, "indices": np.int32,
+                "error_lines": np.int64, "text": np.uint8}
 
 
 def _write_cache(cache: str, key: str, result: CorpusLoadResult) -> None:
     corpus, errors = result.records, result.errors
-    arrays = {"key": np.array(key), "citations": corpus.citations, "indptr": corpus.indptr,
-              "indices": corpus.indices,
-              "error_lines": np.array([e.line for e in errors], dtype=np.int64)}
-    arrays["text"], arrays["text_ends"] = _pack(
-        [*corpus.ids, *(e.message for e in errors), *corpus.countries])
+    strings = [*corpus.ids, *(e.message for e in errors), *corpus.countries]
+    text = "\n".join(strings)
+    # a string holding a newline would split in two, and past 2**31 - 1
+    # incidences the int32 rows overflow: such a file is parsed each time
+    if text.count("\n") != max(len(strings) - 1, 0) or corpus.indptr[-1] >= 2**31:
+        return
+    arrays = {"key": np.array(key), "citations": corpus.citations,
+              "indptr": corpus.indptr.astype(np.int32), "indices": corpus.indices.astype(np.int32),
+              "error_lines": np.array([e.line for e in errors], dtype=np.int64),
+              "text": np.frombuffer(text.encode(), dtype=np.uint8)}
+    del strings, text  # before the write makes its own copies
     try:
         with atomic_open(cache, "wb") as handle:
             np.savez(handle, **arrays)
@@ -347,11 +335,12 @@ def _read_cache(cache: str, key: str) -> CorpusLoadResult | None:
            for name, dtype in CACHE_ARRAYS.items()):
         return None
     try:
-        strings = _unpack(arrays["text"], arrays["text_ends"])
-    except ValueError:
+        text = arrays["text"].tobytes().decode()
+    except UnicodeDecodeError:
         return None
-    citations, indptr, indices, lines = (
-        arrays[name] for name in ("citations", "indptr", "indices", "error_lines"))
+    strings = text.split("\n") if text else []
+    citations, lines = arrays["citations"], arrays["error_lines"]
+    indptr, indices = (arrays[name].astype(np.int64) for name in ("indptr", "indices"))
     papers, rejected = citations.size, lines.size
     countries = tuple(strings[papers + rejected:])
     if not (
@@ -503,7 +492,7 @@ def assess(
     paper, collaborative = corpus.incidence()
     keys = (2 * corpus.indices + collaborative) * world_size
     keys += paper
-    if len(codes) < len(corpus.countries):
+    if len(codes) < len(corpus.countries):  # with every country, a mask would only copy
         requested = np.zeros(len(corpus.countries), dtype=bool)
         requested[list(codes)] = True
         keys = keys[requested[corpus.indices]]

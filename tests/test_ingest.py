@@ -696,22 +696,63 @@ def test_a_sidecar_with_another_window_is_parsed_again(tmp_path):
     assert ids == {None: ["p1", "p3", "p4"], (2014, 2016): ["p1", "p3"], (2015, 2019): ["p1", "p4"]}
 
 
-def test_ids_and_countries_with_nul_newline_and_non_ascii_text_survive_the_cache(tmp_path):
+def test_ids_and_countries_with_nul_and_non_ascii_text_survive_the_cache(tmp_path):
     path = tmp_path / "odd.csv"
-    path.write_bytes((HEADER + 'a\x00b,2015,3,USA\n"line\nbreak",2015,2,"U\nS;日本"\n'
-                      'café,2015,1,日本\n"x\r\ny",2015,-1,USA\n').encode())
+    path.write_bytes((HEADER + 'a\x00b,2015,3,USA\ncafé,2015,1,日本;USA\n"x\r\ny",2015,-1,USA\n').encode())
     cold = load_corpus(path)
-    assert cold.records.ids == ["a\x00b", "line\nbreak", "café"]
-    assert cold.records.countries == ("USA", "U\nS", "日本")
-    assert [(e.line, e.message) for e in cold.errors] == [(7, "negative citation count -1")]
+    assert cold.records.ids == ["a\x00b", "café"]
+    assert cold.records.countries == ("USA", "日本")
+    assert [(e.line, e.message) for e in cold.errors] == [(4, "negative citation count -1")]
     with no_parse():
         assert_same_load(load_corpus(path), cold)
-    # one id alone, holding a newline; and a file that keeps no row
-    for body in ('"a\nb",2015,1,USA\n', "p1,2015,-1,USA\n", ""):
+    # files that keep no row, with a row error and without
+    for body in ("p1,2015,-1,USA\n", ""):
         path.write_text(HEADER + body)
         cold = load_corpus(path)
         with no_parse():
             assert_same_load(load_corpus(path), cold)
+
+
+def test_a_kept_string_holding_a_newline_means_a_parse_each_time(tmp_path):
+    # the cache joins its strings with newlines, so it is not written for
+    # a file whose kept ids or country names hold one
+    for body in ('"line\nbreak",2015,2,USA\n', 'p1,2015,2,"U\nS;USA"\np2,2015,-1,USA\n'):
+        path = write_corpus(tmp_path, body)
+        cold = load_corpus(path)
+        assert os.listdir(tmp_path) == ["corpus.csv"]
+        with mock.patch.object(ingest, "_read_corpus", wraps=ingest._read_corpus) as parse:
+            assert_same_load(load_corpus(path), cold)
+        assert parse.call_count == 1
+    assert cold.records.countries == ("U\nS", "USA")
+
+
+def test_a_corpus_past_int32_incidences_is_not_cached(tmp_path):
+    # the cache holds the country rows as int32
+    big = ingest.Corpus(ids=["p1"], citations=np.ones(1, dtype=np.int64), countries=("USA",),
+                        indptr=np.array([0, 2**31]), indices=np.zeros(1, dtype=np.int64))
+    ingest._write_cache(str(tmp_path / "cache.npz"), "key", ingest.CorpusLoadResult(big, []))
+    assert os.listdir(tmp_path) == []
+
+
+def test_an_input_named_through_a_link_is_not_cached(tmp_path):
+    # /dev/stdin redirected from a file stats as that regular file, but a
+    # cache beside it would be written into /dev
+    path = write_corpus(tmp_path, CACHE_BODY)
+    os.symlink(path, tmp_path / "link.csv")
+    saved = os.dup(0)
+    try:
+        with open(path, "rb") as handle:
+            os.dup2(handle.fileno(), 0)
+        via_stdin = load_corpus("/dev/stdin")
+    finally:
+        os.dup2(saved, 0)
+        os.close(saved)
+    via_link = load_corpus(tmp_path / "link.csv")
+    assert sorted(os.listdir(tmp_path)) == ["corpus.csv", "link.csv"]
+    assert not os.path.exists(cache_path("/dev/stdin"))
+    expected = load_corpus(path)
+    assert_same_load(via_stdin, expected)
+    assert_same_load(via_link, expected)
 
 
 def valid_cache_bytes(tmp_path):
@@ -743,23 +784,20 @@ CORRUPTIONS = {
     "a npy file": lambda data: (lambda out: (np.save(out, np.arange(3)), out.getvalue())[1])(io.BytesIO()),
     "a pickle": lambda data: (lambda out: (np.save(out, np.array([{}], dtype=object)), out.getvalue())[1])(
         io.BytesIO()),
-    "a missing array": lambda data: rewritten_cache(data, text_ends=None),
-    "a short indptr": lambda data: rewritten_cache(data, indptr=np.array([0, 1, 3], dtype=np.int64)),
-    "a falling indptr": lambda data: rewritten_cache(data, indptr=np.array([0, 3, 1, 4], dtype=np.int64)),
+    "a missing array": lambda data: rewritten_cache(data, error_lines=None),
+    "a short indptr": lambda data: rewritten_cache(data, indptr=np.array([0, 1, 3], dtype=np.int32)),
+    "a falling indptr": lambda data: rewritten_cache(data, indptr=np.array([0, 3, 1, 4], dtype=np.int32)),
+    "an int64 indptr": lambda data: rewritten_cache(data, indptr=np.array([0, 1, 3, 4], dtype=np.int64)),
     "float citations": lambda data: rewritten_cache(data, citations=np.array([12.0, 3.0, 5.0])),
     "a country code out of range": lambda data: rewritten_cache(
-        data, indices=np.array([0, 1, 0, 7], dtype=np.int64)),
+        data, indices=np.array([0, 1, 0, 7], dtype=np.int32)),
     "text cut short": lambda data: rewritten_cache(
         data, text=np.frombuffer(b"p1\np3\np4\nnegative citation count -1\nUSA", dtype=np.uint8)),
     "text not UTF-8": lambda data: rewritten_cache(
         data, text=np.frombuffer(b"p1\np3\np4\n\xff\nUSA\nCHN\nJPN", dtype=np.uint8)),
     "a row error without its message": lambda data: rewritten_cache(
-        data, citations=np.empty(0, dtype=np.int64), indptr=np.zeros(1, dtype=np.int64),
-        indices=np.empty(0, dtype=np.int64), text=np.empty(0, dtype=np.uint8),
-        text_ends=np.empty(0, dtype=np.int64)),
-    "ends past the text": lambda data: rewritten_cache(
-        data, text=np.frombuffer(b"p1p3p4USACHNJPN", dtype=np.uint8),
-        text_ends=np.array([2, 4, 6, 9, 12, 99])),
+        data, citations=np.empty(0, dtype=np.int64), indptr=np.zeros(1, dtype=np.int32),
+        indices=np.empty(0, dtype=np.int32), text=np.empty(0, dtype=np.uint8)),
 }
 
 
